@@ -14,9 +14,7 @@
 
 #include "bbb/core/bin_state.hpp"
 #include "bbb/core/concurrent_adaptive.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 
 namespace {
@@ -165,24 +163,24 @@ BENCHMARK(BM_BatchLeft2Compact);
 // Full batch runs at m = 8n: end-to-end protocol cost including result
 // materialization, reported as balls/second.
 void BM_RunAdaptiveHeavy(benchmark::State& state) {
-  const bbb::core::AdaptiveProtocol protocol;
+  const auto protocol = bbb::core::make_protocol("adaptive");
   bbb::rng::Engine gen(9);
   constexpr std::uint32_t n = 1 << 14;
   constexpr std::uint64_t m = 8ULL * n;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(m, n, gen));
+    benchmark::DoNotOptimize(protocol->run(m, n, gen));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * m);
 }
 BENCHMARK(BM_RunAdaptiveHeavy);
 
 void BM_RunThresholdHeavy(benchmark::State& state) {
-  const bbb::core::ThresholdProtocol protocol;
+  const auto protocol = bbb::core::make_protocol("threshold");
   bbb::rng::Engine gen(9);
   constexpr std::uint32_t n = 1 << 14;
   constexpr std::uint64_t m = 8ULL * n;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(m, n, gen));
+    benchmark::DoNotOptimize(protocol->run(m, n, gen));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * m);
 }

@@ -13,9 +13,7 @@
 #include <string>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/cuckoo.hpp"
-#include "bbb/core/protocols/one_choice.hpp"
-#include "bbb/core/protocols/threshold.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/io/argparse.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 #include "bbb/stats/histogram.hpp"
@@ -39,7 +37,7 @@ int main(int argc, char** argv) {
   // --- threshold build ----------------------------------------------------
   {
     bbb::rng::Engine gen(seed);
-    const auto res = bbb::core::ThresholdProtocol{}.run(m, n, gen);
+    const auto res = bbb::core::make_protocol("threshold")->run(m, n, gen);
     const auto lm = bbb::core::compute_metrics(res.loads, m);
     std::printf("threshold build  : worst bucket %u (guaranteed <= %u), "
                 "%.3f probes/key\n",
@@ -50,11 +48,10 @@ int main(int argc, char** argv) {
   // --- cuckoo build ---------------------------------------------------------
   {
     bbb::rng::Engine gen(seed);
-    bbb::core::CuckooRule::Params params;
-    params.d = 2;
-    params.bucket_size = bound;  // same worst-bucket budget as threshold
-    params.max_kicks = 500;
-    const auto res = bbb::core::CuckooProtocol{params}.run(m, n, gen);
+    // Same worst-bucket budget as threshold: cuckoo[2, bound].
+    const auto cuckoo =
+        bbb::core::make_protocol("cuckoo[2," + std::to_string(bound) + "]");
+    const auto res = cuckoo->run(m, n, gen);
     std::printf("cuckoo[2,%u] build: worst bucket %u, %.3f probes/key, "
                 "%llu relocations%s\n",
                 bound, bbb::core::max_load(res.loads),
@@ -65,7 +62,7 @@ int main(int argc, char** argv) {
 
   // --- plain hashing --------------------------------------------------------
   bbb::rng::Engine gen(seed);
-  const auto plain = bbb::core::OneChoiceProtocol{}.run(m, n, gen);
+  const auto plain = bbb::core::make_protocol("one-choice")->run(m, n, gen);
   std::printf("one-choice build : worst bucket %u (no bound), 1.000 probes/key\n\n",
               bbb::core::max_load(plain.loads));
 

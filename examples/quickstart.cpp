@@ -9,8 +9,7 @@
 #include <cstdio>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
-#include "bbb/core/protocols/one_choice.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 
 int main() {
@@ -19,8 +18,8 @@ int main() {
 
   // --- adaptive: the paper's protocol -----------------------------------
   bbb::rng::Engine gen(2013);  // SPAA'13
-  const bbb::core::AdaptiveProtocol adaptive;
-  const bbb::core::AllocationResult result = adaptive.run(m, n, gen);
+  const auto adaptive = bbb::core::make_protocol("adaptive");
+  const bbb::core::AllocationResult result = adaptive->run(m, n, gen);
   const bbb::core::LoadMetrics metrics =
       bbb::core::compute_metrics(result.loads, result.balls);
 
@@ -37,8 +36,8 @@ int main() {
 
   // --- one-choice: what a plain hash would do ---------------------------
   bbb::rng::Engine gen2(2013);
-  const bbb::core::OneChoiceProtocol one_choice;
-  const auto baseline = one_choice.run(m, n, gen2);
+  const auto one_choice = bbb::core::make_protocol("one-choice");
+  const auto baseline = one_choice->run(m, n, gen2);
   const auto base_metrics = bbb::core::compute_metrics(baseline.loads, m);
   std::printf("one-choice baseline:\n");
   std::printf("  max load        : %u (overload %u above average)\n", base_metrics.max,

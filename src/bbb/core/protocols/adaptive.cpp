@@ -43,16 +43,4 @@ std::uint32_t AdaptiveRule::do_place(BinState& state, std::uint32_t /*weight*/,
   return bin;
 }
 
-AdaptiveProtocol::AdaptiveProtocol(std::uint32_t slack) : slack_(slack) {}
-
-std::string AdaptiveProtocol::name() const {
-  return slack_ == 1 ? "adaptive" : "adaptive[" + std::to_string(slack_) + "]";
-}
-
-AllocationResult AdaptiveProtocol::run(std::uint64_t m, std::uint32_t n,
-                                       rng::Engine& gen) const {
-  AdaptiveRule rule(slack_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

@@ -73,17 +73,4 @@ class AdaptiveRule final : public PlacementRule {
   std::uint32_t stage_fill_ = 0;
 };
 
-/// Batch protocol wrapper: adaptive (slack 1 = the paper's Figure 1).
-class AdaptiveProtocol final : public Protocol {
- public:
-  explicit AdaptiveProtocol(std::uint32_t slack = 1);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t slack_;
-};
-
 }  // namespace bbb::core

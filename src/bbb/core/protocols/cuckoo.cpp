@@ -94,23 +94,4 @@ void CuckooRule::on_remove(BinState& /*state*/, std::uint32_t bin) {
   }
 }
 
-CuckooProtocol::CuckooProtocol(CuckooRule::Params params) : params_(params) {
-  if (params_.d == 0 || params_.bucket_size == 0 || params_.max_kicks == 0) {
-    throw std::invalid_argument(
-        "CuckooProtocol: d/bucket_size/max_kicks must be positive");
-  }
-}
-
-std::string CuckooProtocol::name() const {
-  return "cuckoo[" + std::to_string(params_.d) + "," +
-         std::to_string(params_.bucket_size) + "]";
-}
-
-AllocationResult CuckooProtocol::run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const {
-  validate_run_args(m, n);
-  CuckooRule rule(n, params_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

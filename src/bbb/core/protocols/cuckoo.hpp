@@ -83,19 +83,4 @@ class CuckooRule final : public PlacementRule {
   std::uint64_t stash_ = 0;
 };
 
-/// Batch protocol wrapper: inserts m items; completed == false if any
-/// insertion failed. reallocations reports evictions.
-class CuckooProtocol final : public Protocol {
- public:
-  explicit CuckooProtocol(CuckooRule::Params params);
-  CuckooProtocol() : CuckooProtocol(CuckooRule::Params{}) {}
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  CuckooRule::Params params_;
-};
-
 }  // namespace bbb::core

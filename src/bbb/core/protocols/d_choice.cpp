@@ -51,18 +51,4 @@ void DChoiceRule::do_place_batch(BinState& state, std::uint64_t count,
   PlacementRule::do_place_batch(state, count, gen, bins_out);
 }
 
-DChoiceProtocol::DChoiceProtocol(std::uint32_t d) : d_(d) {
-  if (d == 0) throw std::invalid_argument("DChoiceProtocol: d must be positive");
-}
-
-std::string DChoiceProtocol::name() const {
-  return "greedy[" + std::to_string(d_) + "]";
-}
-
-AllocationResult DChoiceProtocol::run(std::uint64_t m, std::uint32_t n,
-                                      rng::Engine& gen) const {
-  DChoiceRule rule(d_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

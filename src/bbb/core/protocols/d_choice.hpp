@@ -49,18 +49,4 @@ class DChoiceRule final : public PlacementRule {
   BatchPlacer batch_;
 };
 
-/// Batch protocol wrapper: greedy[d].
-class DChoiceProtocol final : public Protocol {
- public:
-  /// \throws std::invalid_argument if d == 0.
-  explicit DChoiceProtocol(std::uint32_t d);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t d_;
-};
-
 }  // namespace bbb::core

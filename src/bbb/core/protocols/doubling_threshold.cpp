@@ -36,17 +36,4 @@ std::uint32_t DoublingThresholdRule::do_place(BinState& state, std::uint32_t /*w
   return bin;
 }
 
-DoublingThresholdProtocol::DoublingThresholdProtocol(std::uint64_t initial_guess)
-    : initial_guess_(initial_guess) {}
-
-std::string DoublingThresholdProtocol::name() const {
-  return "doubling-threshold[" + std::to_string(initial_guess_) + "]";
-}
-
-AllocationResult DoublingThresholdProtocol::run(std::uint64_t m, std::uint32_t n,
-                                                rng::Engine& gen) const {
-  DoublingThresholdRule rule(n, initial_guess_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

@@ -47,17 +47,4 @@ class DoublingThresholdRule final : public PlacementRule {
   std::uint32_t bound_;
 };
 
-/// Batch wrapper: doubling-threshold[initial_guess] (0 = default n).
-class DoublingThresholdProtocol final : public Protocol {
- public:
-  explicit DoublingThresholdProtocol(std::uint64_t initial_guess = 0);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint64_t initial_guess_;
-};
-
 }  // namespace bbb::core

@@ -90,17 +90,4 @@ void LeftDRule::do_place_batch(BinState& state, std::uint64_t count,
   PlacementRule::do_place_batch(state, count, gen, bins_out);
 }
 
-LeftDProtocol::LeftDProtocol(std::uint32_t d) : d_(d) {
-  if (d == 0) throw std::invalid_argument("LeftDProtocol: d must be positive");
-}
-
-std::string LeftDProtocol::name() const { return "left[" + std::to_string(d_) + "]"; }
-
-AllocationResult LeftDProtocol::run(std::uint64_t m, std::uint32_t n,
-                                    rng::Engine& gen) const {
-  validate_run_args(m, n);
-  LeftDRule rule(n, d_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

@@ -65,18 +65,4 @@ class LeftDRule final : public PlacementRule {
   const BinState* sampled_state_ = nullptr;      // the state the tables were built for
 };
 
-/// Batch protocol wrapper: left[d].
-class LeftDProtocol final : public Protocol {
- public:
-  /// \throws std::invalid_argument if d == 0.
-  explicit LeftDProtocol(std::uint32_t d);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t d_;
-};
-
 }  // namespace bbb::core

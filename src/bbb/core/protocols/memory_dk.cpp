@@ -61,20 +61,4 @@ std::uint32_t MemoryDKRule::do_place(BinState& state, std::uint32_t /*weight*/,
   return best;
 }
 
-MemoryDKProtocol::MemoryDKProtocol(std::uint32_t d, std::uint32_t k) : d_(d), k_(k) {
-  if (d == 0 || k == 0) {
-    throw std::invalid_argument("MemoryDKProtocol: d and k must be positive");
-  }
-}
-
-std::string MemoryDKProtocol::name() const {
-  return "memory[" + std::to_string(d_) + "," + std::to_string(k_) + "]";
-}
-
-AllocationResult MemoryDKProtocol::run(std::uint64_t m, std::uint32_t n,
-                                       rng::Engine& gen) const {
-  MemoryDKRule rule(d_, k_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

@@ -42,19 +42,4 @@ class MemoryDKRule final : public PlacementRule {
   std::vector<std::uint32_t> candidates_;  // scratch, avoids per-ball allocs
 };
 
-/// Batch protocol wrapper: memory(d,k).
-class MemoryDKProtocol final : public Protocol {
- public:
-  /// \throws std::invalid_argument if d == 0 or k == 0.
-  MemoryDKProtocol(std::uint32_t d, std::uint32_t k);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t d_;
-  std::uint32_t k_;
-};
-
 }  // namespace bbb::core

@@ -33,10 +33,4 @@ void OneChoiceRule::do_place_batch(BinState& state, std::uint64_t count,
   PlacementRule::do_place_batch(state, count, gen, bins_out);
 }
 
-AllocationResult OneChoiceProtocol::run(std::uint64_t m, std::uint32_t n,
-                                        rng::Engine& gen) const {
-  OneChoiceRule rule;
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

@@ -44,12 +44,4 @@ class OneChoiceRule final : public PlacementRule {
   BatchPlacer batch_;
 };
 
-/// Batch protocol wrapper.
-class OneChoiceProtocol final : public Protocol {
- public:
-  [[nodiscard]] std::string name() const override { return "one-choice"; }
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-};
-
 }  // namespace bbb::core

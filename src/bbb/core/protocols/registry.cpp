@@ -1,6 +1,7 @@
 #include "bbb/core/protocols/registry.hpp"
 
 #include <functional>
+#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 
@@ -41,71 +42,176 @@ void reject_args(const ParsedSpec& s, const std::string& spec) {
   }
 }
 
-// batched takes zero or one argument; both factories share the parse so
-// the grammar cannot drift between the batch and streaming sides.
-std::uint32_t batched_capacity(const ParsedSpec& s, const std::string& spec) {
-  return spec_optional_arg_u32(s, 2, spec, kKind);
+// Parameters that must be nonzero whatever n is (d, k, delta, capacity).
+std::uint32_t positive(std::uint32_t value, const std::string& spec) {
+  if (value == 0) {
+    throw std::invalid_argument("protocol spec '" + spec +
+                                "': arguments must be positive");
+  }
+  return value;
 }
 
-/// Batch wrapper for specs that exist only as rules (the adaptive-net /
-/// adaptive-total spellings): run() binds the rule to (n, m) and drives
-/// the shared place_one loop.
-class StreamingSpecProtocol final : public Protocol {
- public:
-  using Factory =
-      std::function<std::unique_ptr<PlacementRule>(std::uint32_t, std::uint64_t)>;
+std::string bracketed(const std::string& base,
+                      std::initializer_list<std::uint64_t> args) {
+  std::string out = base + "[";
+  for (const std::uint64_t a : args) {
+    if (out.back() != '[') out += ',';
+    out += std::to_string(a);
+  }
+  return out + "]";
+}
 
-  StreamingSpecProtocol(std::string name, Factory factory)
-      : name_(std::move(name)), factory_(std::move(factory)) {}
+std::string slack_name(const std::string& base, std::uint32_t slack) {
+  return slack == 1 ? base : bracketed(base, {slack});
+}
+
+/// The n-independent half of a prefix-free spec: its canonical name and
+/// a factory binding the family's rule to (n, m_hint). Parsing checks
+/// every argument that does not depend on n, so make_protocol fails early
+/// without allocating per-bin state; n-dependent limits (left[d] with
+/// d > n, stale-adaptive[delta] with delta > n) throw from the factory.
+struct RuleRecipe {
+  std::string name;
+  std::function<std::unique_ptr<PlacementRule>(std::uint32_t, std::uint64_t)> build;
+  /// batched[c] only: the capacity of its round-synchronous LW batch form.
+  std::uint32_t lw_capacity = 0;
+};
+
+/// The registry's one family dispatch.
+RuleRecipe parse_rule(const std::string& spec) {
+  const ParsedSpec s = parse_spec(spec, kKind);
+  RuleRecipe r;
+  if (s.name == "one-choice") {
+    reject_args(s, spec);
+    r.name = s.name;
+    r.build = [](std::uint32_t, std::uint64_t) {
+      return std::make_unique<OneChoiceRule>();
+    };
+    return r;
+  }
+  if (s.name == "greedy") {
+    const std::uint32_t d = positive(arg_at(s, 0, spec), spec);
+    r.name = bracketed(s.name, {d});
+    r.build = [d](std::uint32_t, std::uint64_t) {
+      return std::make_unique<DChoiceRule>(d);
+    };
+    return r;
+  }
+  if (s.name == "left") {
+    const std::uint32_t d = positive(arg_at(s, 0, spec), spec);
+    r.name = bracketed(s.name, {d});
+    r.build = [d](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<LeftDRule>(n, d);
+    };
+    return r;
+  }
+  if (s.name == "memory") {
+    const std::uint32_t d = positive(arg_at(s, 0, spec), spec);
+    const std::uint32_t k = positive(arg_at(s, 1, spec), spec);
+    r.name = bracketed(s.name, {d, k});
+    r.build = [d, k](std::uint32_t, std::uint64_t) {
+      return std::make_unique<MemoryDKRule>(d, k);
+    };
+    return r;
+  }
+  if (s.name == "threshold") {
+    const std::uint32_t slack = optional_slack(s, spec);
+    r.name = slack_name(s.name, slack);
+    // No hint: provision for a net population of n balls, so threshold[c]
+    // accepts load <= ceil(n/n) + c - 1 = c.
+    r.build = [slack](std::uint32_t n, std::uint64_t m_hint) {
+      return std::make_unique<ThresholdRule>(n, m_hint == 0 ? n : m_hint, slack);
+    };
+    return r;
+  }
+  if (s.name == "doubling-threshold") {
+    if (s.args.size() > 1) {
+      throw std::invalid_argument("protocol spec '" + spec + "': too many arguments");
+    }
+    const std::uint64_t guess = s.args.empty() ? 0 : s.args[0];
+    r.name = bracketed(s.name, {guess});
+    r.build = [guess](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<DoublingThresholdRule>(n, guess);
+    };
+    return r;
+  }
+  if (s.name == "adaptive" || s.name == "adaptive-net" || s.name == "adaptive-total") {
+    const std::uint32_t slack = optional_slack(s, spec);
+    const AdaptiveCount count =
+        s.name == "adaptive-net" ? AdaptiveCount::kNet : AdaptiveCount::kTotal;
+    r.name = slack_name(s.name, slack);
+    r.build = [slack, count, base = s.name](std::uint32_t, std::uint64_t) {
+      return std::make_unique<AdaptiveRule>(slack, count, base);
+    };
+    return r;
+  }
+  if (s.name == "stale-adaptive") {
+    const std::uint32_t delta = positive(arg_at(s, 0, spec), spec);
+    r.name = bracketed(s.name, {delta});
+    r.build = [delta](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<StaleAdaptiveRule>(n, delta);
+    };
+    return r;
+  }
+  if (s.name == "skewed-adaptive") {
+    const std::uint32_t s100 = arg_at(s, 0, spec);
+    r.name = bracketed(s.name, {s100});
+    r.build = [s100](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<SkewedAdaptiveRule>(n, static_cast<double>(s100) / 100.0);
+    };
+    return r;
+  }
+  if (s.name == "batched") {
+    r.lw_capacity = positive(spec_optional_arg_u32(s, 2, spec, kKind), spec);
+    r.name = bracketed(s.name, {r.lw_capacity});
+    r.build = [capacity = r.lw_capacity](std::uint32_t, std::uint64_t) {
+      return std::make_unique<BatchedRule>(capacity);
+    };
+    return r;
+  }
+  if (s.name == "self-balancing") {
+    reject_args(s, spec);
+    r.name = s.name;
+    r.build = [](std::uint32_t, std::uint64_t) {
+      return std::make_unique<SelfBalancingRule>();
+    };
+    return r;
+  }
+  if (s.name == "cuckoo") {
+    CuckooRule::Params p;
+    p.d = positive(arg_at(s, 0, spec), spec);
+    p.bucket_size = positive(arg_at(s, 1, spec), spec);
+    r.name = bracketed(s.name, {p.d, p.bucket_size});
+    r.build = [p](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<CuckooRule>(n, p);
+    };
+    return r;
+  }
+  throw std::invalid_argument("unknown protocol '" + s.name + "'");
+}
+
+/// The batch form of every spec whose batch run is the place_one loop —
+/// every spec but a bare batched[c], capacities= prefix included. run()
+/// binds the spec's streaming allocator to (n, m) and drives run_rule.
+/// A capacitated `batched[c]` therefore runs the capacity-bounded
+/// streaming form, not the round-synchronous LW rounds.
+class RuleProtocol final : public Protocol {
+ public:
+  RuleProtocol(std::string spec, std::string name)
+      : spec_(std::move(spec)), name_(std::move(name)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
                                      rng::Engine& gen) const override {
     validate_run_args(m, n);
-    const auto rule = factory_(n, m);
-    return run_rule(*rule, m, n, gen);
+    const auto alloc = make_streaming_allocator(spec_, n, m);
+    return run_rule(*alloc, m, gen);
   }
 
  private:
+  std::string spec_;
   std::string name_;
-  Factory factory_;
-};
-
-std::string slack_name(const std::string& base, std::uint32_t slack) {
-  return slack == 1 ? base : base + "[" + std::to_string(slack) + "]";
-}
-
-/// Batch wrapper for `capacities=...:spec`: run() cycles the profile over
-/// the n bins, builds the inner rule bound to (n, m), and drives the shared
-/// place_one loop over the capacitated BinState. Note the one rule whose
-/// batch form is not that loop: a capacitated `batched[...]` runs the
-/// capacity-bounded *streaming* form, not the round-synchronous LW rounds.
-class CapacitatedProtocol final : public Protocol {
- public:
-  CapacitatedProtocol(std::vector<std::uint32_t> profile, std::string inner_spec,
-                      std::string inner_name)
-      : profile_(std::move(profile)),
-        inner_spec_(std::move(inner_spec)),
-        inner_name_(std::move(inner_name)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return capacities_prefix(profile_) + inner_name_;
-  }
-
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override {
-    validate_run_args(m, n);
-    BinState state(expand_capacities(profile_, n));
-    const auto rule = make_rule(inner_spec_, n, m);
-    auto result = run_rule(*rule, m, state, gen);
-    return result;
-  }
-
- private:
-  std::vector<std::uint32_t> profile_;
-  std::string inner_spec_;
-  std::string inner_name_;
 };
 
 void reject_weighted_prefix(const SpecPrefix& prefix, const std::string& spec) {
@@ -133,67 +239,15 @@ std::unique_ptr<Protocol> make_protocol(const std::string& spec) {
     opt.shards = prefix.shards;
     return std::make_unique<shard::ShardedProtocol>(prefix.rest, opt);
   }
-  if (!prefix.capacities.empty()) {
-    // Validate the inner spec eagerly (and capture its canonical name).
-    auto inner = make_protocol(prefix.rest);
-    return std::make_unique<CapacitatedProtocol>(prefix.capacities, prefix.rest,
-                                                 inner->name());
-  }
-  const ParsedSpec s = parse_spec(spec, kKind);
-  if (s.name == "one-choice") {
-    reject_args(s, spec);
-    return std::make_unique<OneChoiceProtocol>();
-  }
-  if (s.name == "greedy") return std::make_unique<DChoiceProtocol>(arg_at(s, 0, spec));
-  if (s.name == "left") return std::make_unique<LeftDProtocol>(arg_at(s, 0, spec));
-  if (s.name == "memory") {
-    return std::make_unique<MemoryDKProtocol>(arg_at(s, 0, spec), arg_at(s, 1, spec));
-  }
-  if (s.name == "threshold") {
-    return std::make_unique<ThresholdProtocol>(optional_slack(s, spec));
-  }
-  if (s.name == "doubling-threshold") {
-    if (s.args.size() > 1) {
-      throw std::invalid_argument("protocol spec '" + spec + "': too many arguments");
-    }
-    return std::make_unique<DoublingThresholdProtocol>(s.args.empty() ? 0 : s.args[0]);
-  }
-  if (s.name == "adaptive") {
-    return std::make_unique<AdaptiveProtocol>(optional_slack(s, spec));
-  }
-  if (s.name == "adaptive-net" || s.name == "adaptive-total") {
-    const std::uint32_t slack = optional_slack(s, spec);
-    const AdaptiveCount count =
-        s.name == "adaptive-net" ? AdaptiveCount::kNet : AdaptiveCount::kTotal;
-    const std::string base = s.name;
-    return std::make_unique<StreamingSpecProtocol>(
-        slack_name(base, slack),
-        [slack, count, base](std::uint32_t /*n*/, std::uint64_t /*m*/) {
-          return std::make_unique<AdaptiveRule>(slack, count, base);
-        });
-  }
-  if (s.name == "stale-adaptive") {
-    return std::make_unique<StaleAdaptiveProtocol>(arg_at(s, 0, spec));
-  }
-  if (s.name == "skewed-adaptive") {
-    return std::make_unique<SkewedAdaptiveProtocol>(arg_at(s, 0, spec));
-  }
-  if (s.name == "batched") {
+  const RuleRecipe recipe = parse_rule(prefix.rest);
+  if (prefix.capacities.empty() && recipe.lw_capacity != 0) {
     BatchedProtocol::Params p;
-    p.capacity = batched_capacity(s, spec);
+    p.capacity = recipe.lw_capacity;
     return std::make_unique<BatchedProtocol>(p);
   }
-  if (s.name == "self-balancing") {
-    reject_args(s, spec);
-    return std::make_unique<SelfBalancingProtocol>();
-  }
-  if (s.name == "cuckoo") {
-    CuckooRule::Params p;
-    p.d = arg_at(s, 0, spec);
-    p.bucket_size = arg_at(s, 1, spec);
-    return std::make_unique<CuckooProtocol>(p);
-  }
-  throw std::invalid_argument("unknown protocol '" + s.name + "'");
+  const std::string name_prefix =
+      prefix.capacities.empty() ? "" : capacities_prefix(prefix.capacities);
+  return std::make_unique<RuleProtocol>(spec, name_prefix + recipe.name);
 }
 
 std::unique_ptr<PlacementRule> make_rule(const std::string& spec, std::uint32_t n,
@@ -216,54 +270,7 @@ std::unique_ptr<PlacementRule> make_rule(const std::string& spec, std::uint32_t 
         "': 'capacities=' needs the matching state — build the pair through "
         "make_streaming_allocator (or run via make_protocol)");
   }
-  const ParsedSpec s = parse_spec(spec, kKind);
-  if (s.name == "one-choice") {
-    reject_args(s, spec);
-    return std::make_unique<OneChoiceRule>();
-  }
-  if (s.name == "greedy") return std::make_unique<DChoiceRule>(arg_at(s, 0, spec));
-  if (s.name == "left") return std::make_unique<LeftDRule>(n, arg_at(s, 0, spec));
-  if (s.name == "memory") {
-    return std::make_unique<MemoryDKRule>(arg_at(s, 0, spec), arg_at(s, 1, spec));
-  }
-  if (s.name == "threshold") {
-    // No hint: provision for a net population of n balls, so threshold[c]
-    // accepts load <= ceil(n/n) + c - 1 = c.
-    return std::make_unique<ThresholdRule>(n, m_hint == 0 ? n : m_hint,
-                                           optional_slack(s, spec));
-  }
-  if (s.name == "doubling-threshold") {
-    if (s.args.size() > 1) {
-      throw std::invalid_argument("protocol spec '" + spec + "': too many arguments");
-    }
-    return std::make_unique<DoublingThresholdRule>(n, s.args.empty() ? 0 : s.args[0]);
-  }
-  if (s.name == "adaptive" || s.name == "adaptive-net" || s.name == "adaptive-total") {
-    const AdaptiveCount count =
-        s.name == "adaptive-net" ? AdaptiveCount::kNet : AdaptiveCount::kTotal;
-    return std::make_unique<AdaptiveRule>(optional_slack(s, spec), count, s.name);
-  }
-  if (s.name == "stale-adaptive") {
-    return std::make_unique<StaleAdaptiveRule>(n, arg_at(s, 0, spec));
-  }
-  if (s.name == "skewed-adaptive") {
-    return std::make_unique<SkewedAdaptiveRule>(
-        n, static_cast<double>(arg_at(s, 0, spec)) / 100.0);
-  }
-  if (s.name == "batched") {
-    return std::make_unique<BatchedRule>(batched_capacity(s, spec));
-  }
-  if (s.name == "self-balancing") {
-    reject_args(s, spec);
-    return std::make_unique<SelfBalancingRule>();
-  }
-  if (s.name == "cuckoo") {
-    CuckooRule::Params p;
-    p.d = arg_at(s, 0, spec);
-    p.bucket_size = arg_at(s, 1, spec);
-    return std::make_unique<CuckooRule>(n, p);
-  }
-  throw std::invalid_argument("unknown protocol '" + s.name + "'");
+  return parse_rule(spec).build(n, m_hint);
 }
 
 std::unique_ptr<StreamingAllocator> make_streaming_allocator(const std::string& spec,

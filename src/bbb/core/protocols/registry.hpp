@@ -2,14 +2,17 @@
 /// \file registry.hpp
 /// String-spec factory for the one rule vocabulary spanning batch and
 /// dynamic execution. A spec is a name plus optional bracketed integer
-/// arguments; both factories parse the same grammar:
+/// arguments; one family dispatch parses it for every factory:
 ///
 ///   * `make_rule(spec, n, m_hint)` builds the streaming decision rule —
 ///     what the dyn engine, the tracer, and every embedding application
 ///     consume;
-///   * `make_protocol(spec)` builds the batch `Protocol` wrapper whose
-///     run() drives the same rule over m fresh balls (bit-for-bit equal
-///     to the place_one loop for every rule with batch_equivalent()).
+///   * `make_protocol(spec)` builds the batch `Protocol`. That is the
+///     sharded engine for `shards[t]:`, the round-synchronous LW rounds
+///     for a bare `batched[c]`, and for every other spec one generic
+///     protocol whose run() is `run_rule` over the spec's streaming
+///     allocator (the place_one loop plus `finalize`). It checks every
+///     n-independent argument up front and allocates no per-bin state.
 ///
 /// `Protocol::name()` / `PlacementRule::name()` of every built instance
 /// parses back to an equivalent object (round-trip property, tested).

@@ -86,17 +86,4 @@ void SelfBalancingRule::finalize(BinState& state, rng::Engine& /*gen*/) {
   completed_ = false;  // max_passes hit before fixpoint
 }
 
-SelfBalancingProtocol::SelfBalancingProtocol(std::uint32_t max_passes)
-    : max_passes_(max_passes) {
-  if (max_passes == 0) {
-    throw std::invalid_argument("SelfBalancingProtocol: max_passes must be positive");
-  }
-}
-
-AllocationResult SelfBalancingProtocol::run(std::uint64_t m, std::uint32_t n,
-                                            rng::Engine& gen) const {
-  SelfBalancingRule rule(max_passes_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

@@ -67,21 +67,4 @@ class SelfBalancingRule final : public PlacementRule {
   std::vector<std::vector<std::uint64_t>> residents_;
 };
 
-/// Batch protocol: greedy[2] placement + local switching to a fixpoint.
-class SelfBalancingProtocol final : public Protocol {
- public:
-  /// \param max_passes bound on full self-balancing sweeps.
-  /// \throws std::invalid_argument if max_passes == 0.
-  explicit SelfBalancingProtocol(std::uint32_t max_passes = 64);
-
-  [[nodiscard]] std::string name() const override { return "self-balancing"; }
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
-  [[nodiscard]] std::uint32_t max_passes() const noexcept { return max_passes_; }
-
- private:
-  std::uint32_t max_passes_;
-};
-
 }  // namespace bbb::core

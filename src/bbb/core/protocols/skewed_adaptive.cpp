@@ -29,18 +29,4 @@ std::uint32_t SkewedAdaptiveRule::do_place(BinState& state, std::uint32_t /*weig
   }
 }
 
-SkewedAdaptiveProtocol::SkewedAdaptiveProtocol(std::uint32_t s_times_100)
-    : s_times_100_(s_times_100) {}
-
-std::string SkewedAdaptiveProtocol::name() const {
-  return "skewed-adaptive[" + std::to_string(s_times_100_) + "]";
-}
-
-AllocationResult SkewedAdaptiveProtocol::run(std::uint64_t m, std::uint32_t n,
-                                             rng::Engine& gen) const {
-  validate_run_args(m, n);
-  SkewedAdaptiveRule rule(n, static_cast<double>(s_times_100_) / 100.0);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

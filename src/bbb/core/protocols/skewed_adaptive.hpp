@@ -40,18 +40,4 @@ class SkewedAdaptiveRule final : public PlacementRule {
   std::uint32_t stage_fill_ = 0;
 };
 
-/// Batch wrapper: skewed-adaptive[s*100] in registry specs (integer arg).
-class SkewedAdaptiveProtocol final : public Protocol {
- public:
-  /// \param s_times_100 Zipf exponent scaled by 100 (e.g. 50 -> s = 0.5).
-  explicit SkewedAdaptiveProtocol(std::uint32_t s_times_100);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t s_times_100_;
-};
-
 }  // namespace bbb::core

@@ -43,21 +43,4 @@ std::uint32_t StaleAdaptiveRule::do_place(BinState& state, std::uint32_t /*weigh
   return bin;
 }
 
-StaleAdaptiveProtocol::StaleAdaptiveProtocol(std::uint32_t delta) : delta_(delta) {
-  if (delta == 0) {
-    throw std::invalid_argument("StaleAdaptiveProtocol: delta must be positive");
-  }
-}
-
-std::string StaleAdaptiveProtocol::name() const {
-  return "stale-adaptive[" + std::to_string(delta_) + "]";
-}
-
-AllocationResult StaleAdaptiveProtocol::run(std::uint64_t m, std::uint32_t n,
-                                            rng::Engine& gen) const {
-  validate_run_args(m, n);
-  StaleAdaptiveRule rule(n, delta_);
-  return run_rule(rule, m, n, gen);
-}
-
 }  // namespace bbb::core

@@ -57,17 +57,4 @@ class StaleAdaptiveRule final : public PlacementRule {
   std::uint32_t bound_ = 1;  // bound for the first ball: ceil(1/n) = 1
 };
 
-/// Batch wrapper: stale-adaptive[delta].
-class StaleAdaptiveProtocol final : public Protocol {
- public:
-  explicit StaleAdaptiveProtocol(std::uint32_t delta);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t delta_;
-};
-
 }  // namespace bbb::core

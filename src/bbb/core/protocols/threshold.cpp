@@ -1,5 +1,7 @@
 #include "bbb/core/protocols/threshold.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "bbb/core/probe.hpp"
@@ -17,8 +19,13 @@ ThresholdRule::ThresholdRule(std::uint32_t n, std::uint64_t m, std::uint32_t sla
   if (slack == 0 && m == 0) {
     throw std::invalid_argument("ThresholdRule: slack 0 needs m > 0");
   }
-  const auto base = static_cast<std::uint32_t>(ceil_div(m, n));
-  bound_ = slack == 0 ? (base == 0 ? 0 : base - 1) : base + (slack - 1);
+  // Computed in uint64 and saturated at UINT32_MAX: loads are uint32, so a
+  // saturated bound still accepts exactly the bins the true bound accepts.
+  // Capping ceil(m/n) at 2^32 keeps the sum exact below the saturation
+  // point; sum >= 1 because the slack-0, m-0 case was rejected above.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::uint64_t sum = std::min(ceil_div(m, n), kMax + 1) + slack;
+  bound_ = static_cast<std::uint32_t>(std::min(sum - 1, kMax));
 }
 
 std::string ThresholdRule::name() const {
@@ -38,26 +45,6 @@ std::uint32_t ThresholdRule::do_place(BinState& state, std::uint32_t /*weight*/,
                   [this, &state](std::uint32_t b) { return state.load(b) <= bound_; });
   state.add_ball(bin);
   return bin;
-}
-
-ThresholdProtocol::ThresholdProtocol(std::uint32_t slack) : slack_(slack) {}
-
-std::string ThresholdProtocol::name() const {
-  return slack_ == 1 ? "threshold" : "threshold[" + std::to_string(slack_) + "]";
-}
-
-AllocationResult ThresholdProtocol::run(std::uint64_t m, std::uint32_t n,
-                                        rng::Engine& gen) const {
-  validate_run_args(m, n);
-  // m == 0 with slack 0 must stay legal at the batch API (nothing to
-  // place), so skip rule construction for the empty run.
-  if (m == 0) {
-    AllocationResult res;
-    res.loads.assign(n, 0);
-    return res;
-  }
-  ThresholdRule rule(n, m, slack_);
-  return run_rule(rule, m, n, gen);
 }
 
 }  // namespace bbb::core

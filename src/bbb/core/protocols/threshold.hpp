@@ -54,17 +54,4 @@ class ThresholdRule final : public PlacementRule {
   std::uint32_t bound_;
 };
 
-/// Batch protocol wrapper: threshold (slack 1 = the paper's Figure 2).
-class ThresholdProtocol final : public Protocol {
- public:
-  explicit ThresholdProtocol(std::uint32_t slack = 1);
-
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] AllocationResult run(std::uint64_t m, std::uint32_t n,
-                                     rng::Engine& gen) const override;
-
- private:
-  std::uint32_t slack_;
-};
-
 }  // namespace bbb::core

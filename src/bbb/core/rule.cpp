@@ -45,47 +45,6 @@ void validate_rule_n(const PlacementRule& rule, std::uint32_t n) {
 
 }  // namespace
 
-AllocationResult run_rule(PlacementRule& rule, std::uint64_t m, std::uint32_t n,
-                          rng::Engine& gen) {
-  validate_run_args(m, n);
-  BinState state(n);
-  return run_rule(rule, m, state, gen);
-}
-
-AllocationResult run_rule(PlacementRule& rule, std::uint64_t m, BinState& state,
-                          rng::Engine& gen) {
-  validate_run_args(m, state.n());
-  validate_rule_n(rule, state.n());
-  // The batch loop is the engine's only consumer, so probing rules may
-  // read the raw word stream ahead and prefetch candidate bins; consumed
-  // words — and every allocation — are unchanged (see core/probe.hpp).
-  // Revoked on every exit (including a throwing place_one): a caller who
-  // reuses the rule with a different engine must not consume this
-  // engine's buffered residue.
-  struct ExclusiveGuard {
-    PlacementRule& rule;
-    ~ExclusiveGuard() { rule.set_engine_exclusive(false); }
-  } guard{rule};
-  rule.set_engine_exclusive(true);
-  // One batched call: identical to the historical place_one loop for
-  // every rule (the base do_place_batch IS that loop), and the entry
-  // point of the vector batch kernel for the rules/states that have one.
-  rule.place_batch(state, m, gen);
-  rule.finalize(state, gen);
-  AllocationResult res;
-  // copy_loads works in either layout (same one copy the by-value member
-  // always cost), so a compact-state batch run materializes its result
-  // instead of throwing after all the placement work. The memory-lean
-  // giant-scale path is the streaming one (sim/runner.cpp), not this.
-  res.loads = state.copy_loads();
-  res.balls = state.balls();
-  res.probes = rule.probes();
-  res.reallocations = rule.reallocations();
-  res.rounds = rule.rounds();
-  res.completed = rule.completed();
-  return res;
-}
-
 StreamingAllocator::StreamingAllocator(std::uint32_t n,
                                        std::unique_ptr<PlacementRule> rule)
     : StreamingAllocator(BinState(n), std::move(rule)) {}
@@ -116,6 +75,36 @@ std::uint32_t StreamingAllocator::place_weighted(std::uint32_t weight,
   std::uint32_t bin = 0;
   for (std::uint32_t w = 0; w < weight; ++w) bin = rule_->place_one(state_, gen);
   return bin;
+}
+
+AllocationResult run_rule(StreamingAllocator& alloc, std::uint64_t m,
+                          rng::Engine& gen) {
+  // The batch loop is the engine's only consumer, so probing rules may
+  // read the raw word stream ahead and prefetch candidate bins; consumed
+  // words — and every allocation — are unchanged (see core/probe.hpp).
+  // Revoked on every exit (including a throwing place_one): a caller who
+  // reuses the allocator with a different engine must not consume this
+  // engine's buffered residue.
+  struct ExclusiveGuard {
+    StreamingAllocator& alloc;
+    ~ExclusiveGuard() { alloc.set_engine_exclusive(false); }
+  } guard{alloc};
+  alloc.set_engine_exclusive(true);
+  // One batched call: identical to the place_one loop for every rule (the
+  // base do_place_batch IS that loop), and the entry point of the vector
+  // batch kernel for the rules/states that have one.
+  alloc.place_batch(m, gen);
+  alloc.finalize(gen);
+  const BinState& state = alloc.state();
+  const PlacementRule& rule = alloc.rule();
+  AllocationResult res;
+  res.loads = state.copy_loads();
+  res.balls = state.balls();
+  res.probes = rule.probes();
+  res.reallocations = rule.reallocations();
+  res.rounds = rule.rounds();
+  res.completed = rule.completed();
+  return res;
 }
 
 }  // namespace bbb::core

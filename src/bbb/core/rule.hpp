@@ -6,10 +6,11 @@
 /// cache, threshold phase, recorded choices, cuckoo residents). Batch and
 /// dynamic execution are two drivers over the same vocabulary:
 ///
-///   * batch — `run_rule` (and every `Protocol::run`) loops `place_one`
-///     over m fresh balls and reads the result off the BinState;
-///   * dynamic — `StreamingAllocator` pairs one rule with one BinState and
-///     adds `remove()` so the dyn engine can interleave departures.
+///   * `StreamingAllocator` pairs one rule with one BinState; `remove()`
+///     lets the dyn engine interleave departures;
+///   * batch — `run_rule` places m fresh balls through an allocator and
+///     reads the result off its BinState. It is every `Protocol::run`
+///     except batched[c]'s round-synchronous LW rounds.
 ///
 /// Contract of `place_one`:
 ///   * places exactly one ball of the given integer weight (state.balls()
@@ -190,19 +191,6 @@ class PlacementRule {
   bool completed_ = true;
 };
 
-/// The thin batch adapter: m balls through `rule` into a fresh BinState,
-/// then `finalize`, then the counters read back into an AllocationResult.
-/// Every sequential `Protocol::run` in core/protocols/ is this function.
-[[nodiscard]] AllocationResult run_rule(PlacementRule& rule, std::uint64_t m,
-                                        std::uint32_t n, rng::Engine& gen);
-
-/// Batch adapter over a caller-provided state — how heterogeneous
-/// capacities enter a batch run (`capacities=...:` protocol specs build
-/// the capacitated BinState and drive the same loop). `state` is used as
-/// given (not cleared); the result reads the state after `finalize`.
-[[nodiscard]] AllocationResult run_rule(PlacementRule& rule, std::uint64_t m,
-                                        BinState& state, rng::Engine& gen);
-
 /// One rule bound to one BinState — the streaming front-end applications
 /// and the dyn engine embed. place() allocates one ball with the rule's
 /// decision logic; remove() processes one departure.
@@ -274,5 +262,15 @@ class StreamingAllocator {
   std::string name_prefix_;
   std::uint64_t explode_fallbacks_ = 0;
 };
+
+/// The batch adapter: m balls through `alloc` under the engine-exclusivity
+/// promise, then `finalize`, then the counters read back into an
+/// AllocationResult. The generic `Protocol::run` of every spec but a bare
+/// batched[c] is this function over the spec's streaming allocator; a
+/// hand-built allocator reaches rule parameters no spec spells
+/// (self-balancing's pass budget, cuckoo's eviction budget). The state is
+/// used as given (not cleared); the result reads it after `finalize`.
+[[nodiscard]] AllocationResult run_rule(StreamingAllocator& alloc, std::uint64_t m,
+                                        rng::Engine& gen);
 
 }  // namespace bbb::core

@@ -1,17 +1,13 @@
 #pragma once
 /// \file allocator.hpp
-/// The dynamic-workload allocator layer — since the single-streaming-core
-/// refactor, a *thin veneer* over core/rule.hpp: the bin-load state with
-/// O(1) incremental metrics is `core::BinState`, the decision rules are
-/// the one registry in core/protocols/registry.hpp, and the pairing of the
-/// two is `core::StreamingAllocator`. This header re-exports those names
-/// for the dyn engine and builds allocators from spec strings.
+/// The dyn engine's names for the streaming core. The bin-load state with
+/// O(1) incremental metrics is `core::BinState`, the decision rules are the
+/// one registry in core/protocols/registry.hpp, and the pairing of the two
+/// is `core::StreamingAllocator`, built from a spec string by
+/// `make_streaming_allocator`. Every registry spec runs under every
+/// workload generator; `core::protocol_specs()` lists them.
 ///
-/// Every registry spec runs here — the full batch vocabulary (one-choice,
-/// greedy[d], left[d], memory[d,k], threshold, doubling-threshold,
-/// adaptive and its net/total/stale/skewed variants, batched,
-/// self-balancing, cuckoo) under every workload generator. Departures
-/// expose one genuine design fork the batch papers never face: for
+/// Departures expose one design fork the batch papers never face: for
 /// bound-tracking rules, is the ball index i the number of balls *ever
 /// placed* (total; monotone bound that goes vacuous under sustained churn)
 /// or the number *in the system* (net; the bound stays tight forever)?
@@ -26,33 +22,15 @@
 ///     protocol bit-for-bit from the same engine state for every rule
 ///     with batch_equivalent() (tests/dyn/batch_equivalence_test.cpp).
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "bbb/core/bin_state.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/rule.hpp"
 
 namespace bbb::dyn {
 
 using core::BinState;
+using core::make_streaming_allocator;
 using core::StateLayout;
 using core::StreamingAllocator;
-
-/// Build a streaming allocator from a registry spec (see
-/// core/protocols/registry.hpp for the grammar). `m_hint` provisions
-/// rules that need a total ball count up-front (threshold's fixed bound);
-/// 0 = unknown, which the registry resolves to n. `layout` selects the
-/// BinState storage (compact = the giant-scale 8-bit-lane tier; rejects
-/// workloads that serve uniformly random busy bins, see engine.hpp).
-/// \throws std::invalid_argument for unknown names or malformed args.
-[[nodiscard]] std::unique_ptr<StreamingAllocator> make_streaming_allocator(
-    const std::string& spec, std::uint32_t n, std::uint64_t m_hint = 0,
-    StateLayout layout = StateLayout::kWide);
-
-/// All recognized spec shapes (== core::protocol_specs()), for --help /
-/// --list output.
-[[nodiscard]] std::vector<std::string> streaming_allocator_specs();
 
 }  // namespace bbb::dyn

@@ -34,6 +34,8 @@ struct ShardCounters {
     if (o.ring_highwater > ring_highwater) ring_highwater = o.ring_highwater;
     return *this;
   }
+
+  friend bool operator==(const ShardCounters&, const ShardCounters&) = default;
 };
 
 }  // namespace bbb::shard

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "bbb/core/metrics.hpp"
+#include "bbb/core/protocols/batched.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
 #include "bbb/law/one_choice.hpp"
@@ -32,13 +33,13 @@ double RunSummary::probes_per_ball() const {
 
 namespace {
 
-/// The giant-scale replicate path: stream place_one over a compact-layout
+/// The exact-tier replicate path for every spec but a bare batched[c] and
+/// shards[t]:, on either layout: stream place_batch over the spec's
 /// BinState and read the incremental metrics — no 32-bit load vector, no
-/// O(n) metric rescan, so n = 2^30 fits in ~1 GiB. Allocations are
-/// bit-for-bit the wide batch result for every rule whose Protocol::run
-/// is the place loop (all of them except batched[capacity], which runs
-/// its streaming capacity-bounded form here); finalize() reproduces the
-/// batch-only post-passes (self-balancing sweeps).
+/// O(n) metric rescan, so n = 2^30 fits in ~1 GiB compact. Allocations
+/// are bit-for-bit the spec's Protocol::run result (which is run_rule over
+/// the same allocator); finalize() reproduces the batch-only post-passes
+/// (self-balancing sweeps). The layout selects storage only.
 ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
                                         std::uint32_t replicate_index) {
   const auto start = std::chrono::steady_clock::now();
@@ -176,6 +177,35 @@ ReplicateRecord run_law_replicate(const ExperimentConfig& config,
   return rec;
 }
 
+/// The one exact-tier spec whose batch form is not the place loop: a bare
+/// batched[c] runs its round-synchronous LW rounds through Protocol::run
+/// on every layout, and the metrics are recomputed from the load vector.
+/// The run is opaque to obs: only result-level counters, no heartbeats.
+ReplicateRecord run_batched_replicate(const ExperimentConfig& config,
+                                      const core::Protocol& protocol,
+                                      std::uint32_t replicate_index) {
+  const auto start = std::chrono::steady_clock::now();
+  rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
+  const core::AllocationResult result = protocol.run(config.m, config.n, gen);
+
+  ReplicateRecord rec;
+  rec.probes = static_cast<double>(result.probes);
+  rec.reallocations = static_cast<double>(result.reallocations);
+  rec.rounds = static_cast<double>(result.rounds);
+  rec.completed = result.completed;
+  const core::LoadMetrics metrics = core::compute_metrics(result.loads, result.balls);
+  rec.max_load = metrics.max;
+  rec.min_load = metrics.min;
+  rec.gap = metrics.gap;
+  rec.psi = metrics.psi;
+  rec.log_phi = metrics.log_phi;
+  if (config.obs.counters_on()) {
+    rec.counters = obs::harvest(result);
+    rec.wall_ns = elapsed_ns(start);
+  }
+  return rec;
+}
+
 }  // namespace
 
 ReplicateRecord run_replicate(const ExperimentConfig& config,
@@ -189,34 +219,11 @@ ReplicateRecord run_replicate(const ExperimentConfig& config,
     return run_sharded_replicate(config, prefix.shards, prefix.rest,
                                  replicate_index);
   }
-  if (config.layout != core::StateLayout::kWide) {
+  const auto protocol = core::make_protocol(config.protocol_spec);
+  if (dynamic_cast<const core::BatchedProtocol*>(protocol.get()) == nullptr) {
     return run_streaming_replicate(config, replicate_index);
   }
-  const auto start = std::chrono::steady_clock::now();
-  const auto protocol = core::make_protocol(config.protocol_spec);
-  rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
-  const core::AllocationResult result = protocol->run(config.m, config.n, gen);
-
-  ReplicateRecord rec;
-  rec.probes = static_cast<double>(result.probes);
-  rec.reallocations = static_cast<double>(result.reallocations);
-  rec.rounds = static_cast<double>(result.rounds);
-  rec.completed = result.completed;
-  const core::LoadMetrics metrics =
-      core::compute_metrics(result.loads, result.balls);
-  rec.max_load = metrics.max;
-  rec.min_load = metrics.min;
-  rec.gap = metrics.gap;
-  rec.psi = metrics.psi;
-  rec.log_phi = metrics.log_phi;
-  if (config.obs.counters_on()) {
-    // The wide batch path runs an opaque Protocol::run, so only the
-    // result-level counters exist here (no lookahead/side-table internals
-    // — and no mid-replicate heartbeats; the streaming layout has both).
-    rec.counters = obs::harvest(result);
-    rec.wall_ns = elapsed_ns(start);
-  }
-  return rec;
+  return run_batched_replicate(config, *protocol, replicate_index);
 }
 
 RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool) {

@@ -4,7 +4,7 @@
 
 #include <numeric>
 
-#include "bbb/core/protocols/threshold.hpp"
+#include "bbb/core/protocols/registry.hpp"
 
 namespace bbb::model {
 namespace {
@@ -57,7 +57,7 @@ TEST(ChoiceVector, ThresholdOnChoicesMatchesDirectRun) {
   const auto loads_via_vector = run_threshold_on_choices(m, choices);
 
   rng::Engine gen(seed);
-  const auto direct = core::ThresholdProtocol{}.run(m, n, gen);
+  const auto direct = core::make_protocol("threshold")->run(m, n, gen);
 
   EXPECT_EQ(loads_via_vector, direct.loads);
   EXPECT_EQ(choices.consumed(), direct.probes);

@@ -198,6 +198,21 @@ TEST(ObsIntegration, CompactTierReportsLookaheadAndSideTableTraffic) {
   EXPECT_EQ(s.obs.find("state.compact.promotions"), nullptr);
 }
 
+TEST(ObsIntegration, WideTierStreamsAndReportsLookahead) {
+  // The wide layout runs the same streaming replicate path as compact, so
+  // its runs carry the core machinery counters too.
+  sim::ExperimentConfig cfg;
+  cfg.protocol_spec = "greedy[2]";
+  cfg.m = 1u << 16;
+  cfg.n = 1u << 12;
+  cfg.replicates = 1;
+  cfg.seed = 42;
+  cfg.layout = core::StateLayout::kWide;
+  cfg.obs.level = obs::ObsLevel::kCounters;
+  const sim::RunSummary s = sim::run_experiment(cfg);
+  EXPECT_GT(s.obs.counter_value("core.lookahead.refills"), 0u);
+}
+
 TEST(ObsIntegration, TraceFileIsWellFormedEndToEnd) {
   const std::string path = ::testing::TempDir() + "obs_integration_trace.jsonl";
   {

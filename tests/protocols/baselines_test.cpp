@@ -8,7 +8,7 @@
 #include "bbb/core/protocols/d_choice.hpp"
 #include "bbb/core/protocols/left_d.hpp"
 #include "bbb/core/protocols/memory_dk.hpp"
-#include "bbb/core/protocols/one_choice.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/stats/running_stats.hpp"
 
@@ -28,7 +28,7 @@ double mean_max_load(const Protocol& protocol, std::uint64_t m, std::uint32_t n,
 
 TEST(OneChoice, ProbesExactlyM) {
   rng::Engine gen(1);
-  const AllocationResult res = OneChoiceProtocol{}.run(5000, 100, gen);
+  const AllocationResult res = make_protocol("one-choice")->run(5000, 100, gen);
   EXPECT_EQ(res.probes, 5000u);
 }
 
@@ -36,34 +36,34 @@ TEST(OneChoice, MaxLoadNearTheoryAtMEqualsN) {
   // log n / log log n ~ 4.7 at n = 4096; empirical mean max load is in a
   // narrow band around it. Assert a broad sanity window.
   constexpr std::uint32_t n = 4096;
-  const double ml = mean_max_load(OneChoiceProtocol{}, n, n, 10, 99);
+  const double ml = mean_max_load(*make_protocol("one-choice"), n, n, 10, 99);
   EXPECT_GE(ml, 3.0);
   EXPECT_LE(ml, 10.0);
 }
 
 TEST(DChoice, ProbesExactlyDM) {
   rng::Engine gen(2);
-  const AllocationResult res = DChoiceProtocol{3}.run(1000, 64, gen);
+  const AllocationResult res = make_protocol("greedy[3]")->run(1000, 64, gen);
   EXPECT_EQ(res.probes, 3000u);
 }
 
 TEST(DChoice, TwoChoicesBeatOneChoice) {
   constexpr std::uint32_t n = 4096;
-  const double one = mean_max_load(OneChoiceProtocol{}, n, n, 10, 7);
-  const double two = mean_max_load(DChoiceProtocol{2}, n, n, 10, 7);
+  const double one = mean_max_load(*make_protocol("one-choice"), n, n, 10, 7);
+  const double two = mean_max_load(*make_protocol("greedy[2]"), n, n, 10, 7);
   EXPECT_LT(two, one);  // the power of two choices
   EXPECT_LE(two, 4.0);  // ln ln n / ln 2 + O(1) ~ 3 at n = 4096
 }
 
 TEST(DChoice, MoreChoicesNeverHurt) {
   constexpr std::uint32_t n = 2048;
-  const double d2 = mean_max_load(DChoiceProtocol{2}, n, n, 20, 8);
-  const double d4 = mean_max_load(DChoiceProtocol{4}, n, n, 20, 8);
+  const double d2 = mean_max_load(*make_protocol("greedy[2]"), n, n, 20, 8);
+  const double d4 = mean_max_load(*make_protocol("greedy[4]"), n, n, 20, 8);
   EXPECT_LE(d4, d2 + 0.5);  // allow sampling noise
 }
 
 TEST(DChoice, RejectsZeroD) {
-  EXPECT_THROW(DChoiceProtocol{0}, std::invalid_argument);
+  EXPECT_THROW((void)make_protocol("greedy[0]"), std::invalid_argument);
   EXPECT_THROW(DChoiceRule{0}, std::invalid_argument);
 }
 
@@ -71,8 +71,8 @@ TEST(DChoice, DOneEquivalentToOneChoiceInLaw) {
   // greedy[1] is one-choice; same seed gives the same loads because both
   // draw exactly one uniform bin per ball.
   rng::Engine g1(3), g2(3);
-  const AllocationResult a = DChoiceProtocol{1}.run(500, 32, g1);
-  const AllocationResult b = OneChoiceProtocol{}.run(500, 32, g2);
+  const AllocationResult a = make_protocol("greedy[1]")->run(500, 32, g1);
+  const AllocationResult b = make_protocol("one-choice")->run(500, 32, g2);
   EXPECT_EQ(a.loads, b.loads);
 }
 
@@ -105,13 +105,13 @@ TEST(LeftD, CompetitiveWithGreedyAtSameD) {
   // Vöcking's theorem says left[2] beats greedy[2] asymptotically; at finite
   // n we assert it is at least not worse by more than sampling noise.
   constexpr std::uint32_t n = 4096;
-  const double g2 = mean_max_load(DChoiceProtocol{2}, n, n, 20, 10);
-  const double l2 = mean_max_load(LeftDProtocol{2}, n, n, 20, 10);
+  const double g2 = mean_max_load(*make_protocol("greedy[2]"), n, n, 20, 10);
+  const double l2 = mean_max_load(*make_protocol("left[2]"), n, n, 20, 10);
   EXPECT_LE(l2, g2 + 0.3);
 }
 
 TEST(LeftD, Validation) {
-  EXPECT_THROW(LeftDProtocol{0}, std::invalid_argument);
+  EXPECT_THROW((void)make_protocol("left[0]"), std::invalid_argument);
   EXPECT_THROW(LeftDRule(4, 5), std::invalid_argument);  // d > n
   LeftDRule ok(4, 4);
   EXPECT_THROW((void)ok.group_range(4), std::invalid_argument);
@@ -119,7 +119,7 @@ TEST(LeftD, Validation) {
 
 TEST(MemoryDK, FreshProbesOnlyCountD) {
   rng::Engine gen(4);
-  const AllocationResult res = MemoryDKProtocol{1, 1}.run(1000, 64, gen);
+  const AllocationResult res = make_protocol("memory[1,1]")->run(1000, 64, gen);
   EXPECT_EQ(res.probes, 1000u);  // k memory lookups are free
 }
 
@@ -139,15 +139,15 @@ TEST(MemoryDK, MemoryHoldsAtMostKDistinctBins) {
 
 TEST(MemoryDK, BeatsOneChoiceAtMEqualsN) {
   constexpr std::uint32_t n = 4096;
-  const double one = mean_max_load(OneChoiceProtocol{}, n, n, 10, 11);
-  const double mem = mean_max_load(MemoryDKProtocol{1, 1}, n, n, 10, 11);
+  const double one = mean_max_load(*make_protocol("one-choice"), n, n, 10, 11);
+  const double mem = mean_max_load(*make_protocol("memory[1,1]"), n, n, 10, 11);
   EXPECT_LT(mem, one);
   EXPECT_LE(mem, 4.0);  // theory: ln ln n / (2 ln phi_2) + O(1)
 }
 
 TEST(MemoryDK, Validation) {
-  EXPECT_THROW(MemoryDKProtocol(0, 1), std::invalid_argument);
-  EXPECT_THROW(MemoryDKProtocol(1, 0), std::invalid_argument);
+  EXPECT_THROW((void)make_protocol("memory[0,1]"), std::invalid_argument);
+  EXPECT_THROW((void)make_protocol("memory[1,0]"), std::invalid_argument);
   EXPECT_THROW(MemoryDKRule(0, 1), std::invalid_argument);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
@@ -78,8 +81,7 @@ TEST(Cuckoo, ProbesAreDPerItem) {
 
 TEST(CuckooProtocol, RunAggregatesRule) {
   rng::Engine gen(6);
-  CuckooRule::Params params{2, 4, 500};
-  const AllocationResult res = CuckooProtocol{params}.run(2048, 1024, gen);
+  const AllocationResult res = make_protocol("cuckoo[2,4]")->run(2048, 1024, gen);
   EXPECT_TRUE(res.completed);  // load factor 0.5, trivially feasible
   EXPECT_EQ(res.balls, 2048u);
   std::uint64_t total = 0;
@@ -90,7 +92,9 @@ TEST(CuckooProtocol, RunAggregatesRule) {
 TEST(CuckooProtocol, ReportsFailureAboveCapacity) {
   rng::Engine gen(7);
   CuckooRule::Params params{2, 2, 100};
-  const AllocationResult res = CuckooProtocol{params}.run(600, 128, gen);  // 600 > 256
+  // A 100-kick budget is no spec argument: drive a hand-built rule.
+  StreamingAllocator alloc(128, std::make_unique<CuckooRule>(128, params));
+  const AllocationResult res = run_rule(alloc, 600, gen);  // 600 > 256
   EXPECT_FALSE(res.completed);
   EXPECT_LT(res.balls, 600u);
 }

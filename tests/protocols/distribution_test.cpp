@@ -9,8 +9,7 @@
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/adaptive.hpp"
-#include "bbb/core/protocols/d_choice.hpp"
-#include "bbb/core/protocols/one_choice.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/stats/histogram.hpp"
 #include "bbb/stats/hypothesis.hpp"
@@ -32,7 +31,7 @@ TEST(LoadDistribution, OneChoiceMatchesBinomialOccupancy) {
   constexpr int kReps = 30;
   for (int r = 0; r < kReps; ++r) {
     rng::Engine gen = seq.engine(r);
-    const auto res = OneChoiceProtocol{}.run(m, n, gen);
+    const auto res = make_protocol("one-choice")->run(m, n, gen);
     for (std::uint32_t l : res.loads) ++observed[std::min(l, kMaxCell)];
   }
   std::vector<double> expected(kMaxCell + 1, 0.0);
@@ -56,7 +55,7 @@ TEST(LoadDistribution, OneChoiceEmptyBinCountMatchesTheory) {
   constexpr int kReps = 25;
   for (int r = 0; r < kReps; ++r) {
     rng::Engine gen = seq.engine(r);
-    const auto res = OneChoiceProtocol{}.run(n, n, gen);
+    const auto res = make_protocol("one-choice")->run(n, n, gen);
     total_empty += static_cast<double>(empty_bins(res.loads));
   }
   const double mean_empty = total_empty / kReps;
@@ -70,8 +69,8 @@ TEST(LoadDistribution, OneChoiceEmptyBinCountMatchesTheory) {
 TEST(LoadDistribution, GreedyTwoReshapesHistogram) {
   constexpr std::uint32_t n = 4096;
   rng::Engine g1(33), g2(33);
-  const auto greedy = DChoiceProtocol{2}.run(n, n, g1);
-  const auto one = OneChoiceProtocol{}.run(n, n, g2);
+  const auto greedy = make_protocol("greedy[2]")->run(n, n, g1);
+  const auto one = make_protocol("one-choice")->run(n, n, g2);
   const auto h_greedy = load_histogram(greedy.loads);
   const auto h_one = load_histogram(one.loads);
   EXPECT_LT(h_greedy.count(0), h_one.count(0));

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
@@ -35,7 +35,7 @@ TEST(DoublingThreshold, GuessDoublesWhenExhausted) {
 
 TEST(DoublingThreshold, ConservesBalls) {
   rng::Engine gen(5);
-  const auto res = DoublingThresholdProtocol{}.run(1000, 33, gen);
+  const auto res = make_protocol("doubling-threshold")->run(1000, 33, gen);
   EXPECT_EQ(std::accumulate(res.loads.begin(), res.loads.end(), std::uint64_t{0}),
             1000u);
 }
@@ -46,7 +46,7 @@ TEST(DoublingThreshold, MaxLoadBoundedByFinalGuess) {
   constexpr std::uint32_t n = 128;
   for (std::uint64_t m : {150ULL * n / 100, 3ULL * n, 9ULL * n / 2}) {
     rng::Engine gen(m);
-    const auto res = DoublingThresholdProtocol{}.run(m, n, gen);
+    const auto res = make_protocol("doubling-threshold")->run(m, n, gen);
     EXPECT_LE(max_load(res.loads), ceil_div(2 * m, n) + 1) << "m=" << m;
   }
 }
@@ -58,8 +58,8 @@ TEST(DoublingThreshold, LosesOptimalLoadPastDoublingBoundary) {
   constexpr std::uint32_t n = 1 << 10;
   const std::uint64_t m = 8ULL * n + n / 4;  // just past guess 8n
   rng::Engine g1(7), g2(7);
-  const auto doubling = DoublingThresholdProtocol{}.run(m, n, g1);
-  const auto adapt = AdaptiveProtocol{}.run(m, n, g2);
+  const auto doubling = make_protocol("doubling-threshold")->run(m, n, g1);
+  const auto adapt = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_LE(max_load(adapt.loads), ceil_div(m, n) + 1);
   EXPECT_GT(max_load(doubling.loads), ceil_div(m, n) + 1);
 }
@@ -68,7 +68,7 @@ TEST(DoublingThreshold, AllocationTimeStaysLinear) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 20ULL * n;
   rng::Engine gen(9);
-  const auto res = DoublingThresholdProtocol{}.run(m, n, gen);
+  const auto res = make_protocol("doubling-threshold")->run(m, n, gen);
   EXPECT_LT(static_cast<double>(res.probes), 2.0 * static_cast<double>(m));
 }
 
@@ -79,8 +79,8 @@ TEST(DoublingThreshold, ExplicitInitialGuessHonored) {
 }
 
 TEST(DoublingThreshold, RegistryRoundTrip) {
-  const auto p = DoublingThresholdProtocol{64};
-  EXPECT_EQ(p.name(), "doubling-threshold[64]");
+  const auto p = make_protocol("doubling-threshold[64]");
+  EXPECT_EQ(p->name(), "doubling-threshold[64]");
 }
 
 }  // namespace

@@ -2,20 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/d_choice.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
 namespace {
 
 TEST(SelfBalancing, Validation) {
-  EXPECT_THROW(SelfBalancingProtocol{0}, std::invalid_argument);
+  EXPECT_THROW(SelfBalancingRule{0}, std::invalid_argument);
 }
 
 TEST(SelfBalancing, ReachesFixpointOnModerateInstances) {
   rng::Engine gen(1);
-  const AllocationResult res = SelfBalancingProtocol{}.run(1 << 14, 1 << 10, gen);
+  const auto protocol = make_protocol("self-balancing");
+  const AllocationResult res = protocol->run(1 << 14, 1 << 10, gen);
   EXPECT_TRUE(res.completed);
   EXPECT_GE(res.rounds, 1u);
 }
@@ -25,7 +28,7 @@ TEST(SelfBalancing, NearPerfectBalanceHeavyLoad) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 16ULL * n;
   rng::Engine gen(2);
-  const AllocationResult res = SelfBalancingProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("self-balancing")->run(m, n, gen);
   EXPECT_TRUE(res.completed);
   EXPECT_LE(max_load(res.loads), ceil_div(m, n) + 1);
 }
@@ -34,8 +37,8 @@ TEST(SelfBalancing, ImprovesOnPlainGreedyTwo) {
   constexpr std::uint32_t n = 1 << 12;
   constexpr std::uint64_t m = 32ULL * n;
   rng::Engine g1(3), g2(3);
-  const AllocationResult greedy = DChoiceProtocol{2}.run(m, n, g1);
-  const AllocationResult balanced = SelfBalancingProtocol{}.run(m, n, g2);
+  const AllocationResult greedy = make_protocol("greedy[2]")->run(m, n, g1);
+  const AllocationResult balanced = make_protocol("self-balancing")->run(m, n, g2);
   EXPECT_LE(max_load(balanced.loads), max_load(greedy.loads));
   EXPECT_LE(quadratic_potential(balanced.loads, m),
             quadratic_potential(greedy.loads, m));
@@ -45,7 +48,7 @@ TEST(SelfBalancing, ReallocationsAreReported) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 16ULL * n;
   rng::Engine gen(4);
-  const AllocationResult res = SelfBalancingProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("self-balancing")->run(m, n, gen);
   // At this density greedy[2] is not at the fixpoint, so moves must occur.
   EXPECT_GT(res.reallocations, 0u);
 }
@@ -56,7 +59,9 @@ TEST(SelfBalancing, SinglePassBudgetReportsIncomplete) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 64ULL * n;
   rng::Engine gen(5);
-  const AllocationResult res = SelfBalancingProtocol{1}.run(m, n, gen);
+  // A one-pass budget is no spec argument: drive a hand-built rule.
+  StreamingAllocator alloc(n, std::make_unique<SelfBalancingRule>(1));
+  const AllocationResult res = run_rule(alloc, m, gen);
   EXPECT_FALSE(res.completed);
   // Balls are still conserved even when incomplete.
   std::uint64_t total = 0;
@@ -71,7 +76,7 @@ TEST(SelfBalancing, FixpointHasNoImprovingMove) {
   constexpr std::uint32_t n = 512;
   constexpr std::uint64_t m = 128ULL * n;
   rng::Engine gen(6);
-  const AllocationResult res = SelfBalancingProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("self-balancing")->run(m, n, gen);
   ASSERT_TRUE(res.completed);
   // The *global* gap can exceed 2 only between bins not linked by any
   // ball's choice pair; at 128 balls per bin that is vanishingly rare.

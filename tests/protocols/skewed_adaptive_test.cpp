@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
@@ -24,7 +24,8 @@ TEST_P(SkewGuaranteeTest, MaxLoadBoundSurvivesAnySkew) {
   constexpr std::uint32_t n = 128;
   constexpr std::uint64_t m = 8ULL * n + 11;
   rng::Engine gen(s100 + 1);
-  const auto res = SkewedAdaptiveProtocol{s100}.run(m, n, gen);
+  const auto protocol = make_protocol("skewed-adaptive[" + std::to_string(s100) + "]");
+  const auto res = protocol->run(m, n, gen);
   EXPECT_LE(max_load(res.loads), ceil_div(m, n) + 1);
   EXPECT_EQ(std::accumulate(res.loads.begin(), res.loads.end(), std::uint64_t{0}), m);
 }
@@ -41,11 +42,13 @@ TEST(SkewedAdaptive, ZeroSkewMatchesPlainAdaptiveStatistically) {
   double skew_total = 0, plain_total = 0;
   rng::SeedSequence seq(11);
   constexpr int kReps = 10;
+  const auto skewed = make_protocol("skewed-adaptive[0]");
+  const auto plain = make_protocol("adaptive");
   for (int r = 0; r < kReps; ++r) {
     rng::Engine g1 = seq.engine(r);
     rng::Engine g2 = seq.engine(100 + r);
-    skew_total += static_cast<double>(SkewedAdaptiveProtocol{0}.run(m, n, g1).probes);
-    plain_total += static_cast<double>(AdaptiveProtocol{}.run(m, n, g2).probes);
+    skew_total += static_cast<double>(skewed->run(m, n, g1).probes);
+    plain_total += static_cast<double>(plain->run(m, n, g2).probes);
   }
   EXPECT_NEAR(skew_total / plain_total, 1.0, 0.05);
 }
@@ -59,7 +62,8 @@ TEST(SkewedAdaptive, SkewInflatesAllocationTime) {
   double prev = 0.0;
   for (std::uint32_t s100 : {0u, 100u, 200u}) {
     rng::Engine gen = seq.engine(s100);
-    const auto res = SkewedAdaptiveProtocol{s100}.run(m, n, gen);
+    const auto protocol = make_protocol("skewed-adaptive[" + std::to_string(s100) + "]");
+    const auto res = protocol->run(m, n, gen);
     const double per_ball = static_cast<double>(res.probes) / static_cast<double>(m);
     EXPECT_GT(per_ball, prev) << "s/100=" << s100;
     prev = per_ball;
@@ -76,13 +80,13 @@ TEST(SkewedAdaptive, StreamingAndBatchAgree) {
   BinState state(n);
   SkewedAdaptiveRule rule(n, 0.5);
   for (std::uint64_t i = 0; i < m; ++i) (void)rule.place_one(state, g1);
-  const auto batch = SkewedAdaptiveProtocol{50}.run(m, n, g2);
+  const auto batch = make_protocol("skewed-adaptive[50]")->run(m, n, g2);
   EXPECT_EQ(state.loads(), batch.loads);
   EXPECT_EQ(rule.probes(), batch.probes);
 }
 
 TEST(SkewedAdaptive, NameRoundTripsThroughRegistry) {
-  EXPECT_EQ(SkewedAdaptiveProtocol{150}.name(), "skewed-adaptive[150]");
+  EXPECT_EQ(make_protocol("skewed-adaptive[150]")->name(), "skewed-adaptive[150]");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
@@ -13,7 +13,7 @@ TEST(StaleAdaptive, Validation) {
   EXPECT_THROW(StaleAdaptiveRule(0, 1), std::invalid_argument);
   EXPECT_THROW(StaleAdaptiveRule(8, 0), std::invalid_argument);
   EXPECT_THROW(StaleAdaptiveRule(8, 9), std::invalid_argument);  // delta > n
-  EXPECT_THROW(StaleAdaptiveProtocol{0}, std::invalid_argument);
+  EXPECT_THROW((void)make_protocol("stale-adaptive[0]"), std::invalid_argument);
 }
 
 TEST(StaleAdaptive, DeltaOneIsExactlyAdaptive) {
@@ -22,8 +22,8 @@ TEST(StaleAdaptive, DeltaOneIsExactlyAdaptive) {
   constexpr std::uint32_t n = 64;
   constexpr std::uint64_t m = 1000;
   rng::Engine g1(5), g2(5);
-  const auto stale = StaleAdaptiveProtocol{1}.run(m, n, g1);
-  const auto fresh = AdaptiveProtocol{1}.run(m, n, g2);
+  const auto stale = make_protocol("stale-adaptive[1]")->run(m, n, g1);
+  const auto fresh = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_EQ(stale.loads, fresh.loads);
   EXPECT_EQ(stale.probes, fresh.probes);
 }
@@ -35,7 +35,8 @@ TEST_P(StaleDeltaTest, MaxLoadGuaranteeSurvivesStaleness) {
   constexpr std::uint32_t n = 256;
   constexpr std::uint64_t m = 16ULL * n + 37;  // non-divisible
   rng::Engine gen(delta * 13 + 1);
-  const auto res = StaleAdaptiveProtocol{delta}.run(m, n, gen);
+  const auto protocol = make_protocol("stale-adaptive[" + std::to_string(delta) + "]");
+  const auto res = protocol->run(m, n, gen);
   EXPECT_LE(max_load(res.loads), ceil_div(m, n) + 1);
   std::uint64_t total = 0;
   for (auto l : res.loads) total += l;
@@ -50,8 +51,9 @@ TEST_P(StaleDeltaTest, StalenessUpToAStageIsFree) {
   constexpr std::uint32_t n = 256;
   constexpr std::uint64_t m = 16ULL * n;
   rng::Engine g1(7), g2(7);
-  const auto stale = StaleAdaptiveProtocol{delta}.run(m, n, g1);
-  const auto fresh = AdaptiveProtocol{1}.run(m, n, g2);
+  const auto protocol = make_protocol("stale-adaptive[" + std::to_string(delta) + "]");
+  const auto stale = protocol->run(m, n, g1);
+  const auto fresh = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_EQ(stale.probes, fresh.probes) << "delta=" << delta;
   EXPECT_EQ(stale.loads, fresh.loads) << "delta=" << delta;
 }
@@ -76,7 +78,7 @@ TEST(StaleAdaptive, BoundLagsPublication) {
 }
 
 TEST(StaleAdaptive, NamesRoundTrip) {
-  EXPECT_EQ(StaleAdaptiveProtocol{16}.name(), "stale-adaptive[16]");
+  EXPECT_EQ(make_protocol("stale-adaptive[16]")->name(), "stale-adaptive[16]");
 }
 
 TEST(StaleAdaptive, OncePerStageBroadcastIsIdenticalAtScale) {
@@ -85,8 +87,9 @@ TEST(StaleAdaptive, OncePerStageBroadcastIsIdenticalAtScale) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 8ULL * n;
   rng::Engine g1(9), g2(9);
-  const auto lazy = StaleAdaptiveProtocol{n}.run(m, n, g1);
-  const auto fresh = AdaptiveProtocol{1}.run(m, n, g2);
+  const auto protocol = make_protocol("stale-adaptive[" + std::to_string(n) + "]");
+  const auto lazy = protocol->run(m, n, g1);
+  const auto fresh = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_EQ(lazy.probes, fresh.probes);
   EXPECT_EQ(lazy.loads, fresh.loads);
 }

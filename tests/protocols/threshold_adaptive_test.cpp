@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/adaptive.hpp"
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/theory/bounds.hpp"
@@ -63,14 +66,14 @@ class MaxLoadGuaranteeTest : public ::testing::TestWithParam<Shape> {};
 TEST_P(MaxLoadGuaranteeTest, AdaptiveNeverExceedsCeilPlusOne) {
   const auto& [m, n, seed] = GetParam();
   rng::Engine gen(seed);
-  const AllocationResult res = AdaptiveProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("adaptive")->run(m, n, gen);
   EXPECT_LE(max_load(res.loads), ceil_div(m, n) + 1);
 }
 
 TEST_P(MaxLoadGuaranteeTest, ThresholdNeverExceedsCeilPlusOne) {
   const auto& [m, n, seed] = GetParam();
   rng::Engine gen(seed);
-  const AllocationResult res = ThresholdProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("threshold")->run(m, n, gen);
   EXPECT_LE(max_load(res.loads), ceil_div(m, n) + 1);
 }
 
@@ -78,7 +81,7 @@ TEST_P(MaxLoadGuaranteeTest, SlackZeroAchievesPerfectBound) {
   const auto& [m, n, seed] = GetParam();
   if (m == 0) GTEST_SKIP();
   rng::Engine gen(seed);
-  const AllocationResult res = AdaptiveProtocol{0}.run(m, n, gen);
+  const AllocationResult res = make_protocol("adaptive[0]")->run(m, n, gen);
   EXPECT_EQ(max_load(res.loads), ceil_div(m, n));
 }
 
@@ -125,7 +128,7 @@ TEST(Adaptive, StreamingMatchesBatchProtocol) {
   BinState state(n);
   AdaptiveRule rule(1);
   for (std::uint64_t i = 0; i < m; ++i) rule.place_one(state, g1);
-  const AllocationResult batch = AdaptiveProtocol{1}.run(m, n, g2);
+  const AllocationResult batch = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_EQ(state.loads(), batch.loads);
   EXPECT_EQ(rule.probes(), batch.probes);
 }
@@ -134,7 +137,7 @@ TEST(Adaptive, RejectsZeroBins) {
   // The shared BinState owns the n > 0 invariant for every rule.
   EXPECT_THROW(BinState(0), std::invalid_argument);
   rng::Engine gen(1);
-  EXPECT_THROW((void)AdaptiveProtocol{}.run(10, 0, gen), std::invalid_argument);
+  EXPECT_THROW((void)make_protocol("adaptive")->run(10, 0, gen), std::invalid_argument);
 }
 
 // ------------------------------------------------------- threshold mechanics
@@ -171,11 +174,34 @@ TEST(Threshold, SlackZeroRejectedOnlyForZeroM) {
   EXPECT_NO_THROW(ThresholdRule(4, 4, 0));
 }
 
+TEST(Threshold, HugeSlackSaturatesInsteadOfWrapping) {
+  // ceil(m/n) + slack - 1 exceeds UINT32_MAX; a uint32 sum would wrap to a
+  // bound below every load and abort the run.
+  ThresholdRule rule(10, 20, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(rule.accept_bound(), std::numeric_limits<std::uint32_t>::max());
+  rng::Engine gen(3);
+  const AllocationResult res = make_protocol("threshold[4294967295]")->run(20, 10, gen);
+  EXPECT_EQ(res.balls, 20u);
+  EXPECT_EQ(res.probes, 20u);  // every bin qualifies, so one probe per ball
+}
+
+TEST(Threshold, HugeAverageLoadSaturatesInsteadOfTruncating) {
+  // m/n >= 2^32: truncating ceil(m/n) to uint32 would give a bound of 0.
+  constexpr std::uint64_t m = std::uint64_t{1} << 33;
+  for (const std::uint32_t slack : {0u, 1u, 2u}) {
+    ThresholdRule rule(1, m, slack);
+    EXPECT_EQ(rule.accept_bound(), std::numeric_limits<std::uint32_t>::max()) << slack;
+    BinState state(1);
+    rng::Engine gen(4);
+    EXPECT_EQ(rule.place_one(state, gen), 0u) << slack;
+  }
+}
+
 TEST(Threshold, SlackZeroGivesPerfectlyFlatLoad) {
   constexpr std::uint32_t n = 64;
   constexpr std::uint64_t m = 4 * n;
   rng::Engine gen(9);
-  const AllocationResult res = ThresholdProtocol{0}.run(m, n, gen);
+  const AllocationResult res = make_protocol("threshold[0]")->run(m, n, gen);
   for (std::uint32_t l : res.loads) EXPECT_EQ(l, 4u);
 }
 
@@ -187,7 +213,7 @@ TEST(AllocationTime, ThresholdCloseToM) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 64ULL * n;
   rng::Engine gen(13);
-  const AllocationResult res = ThresholdProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("threshold")->run(m, n, gen);
   EXPECT_GE(res.probes, m);
   const double overhead = static_cast<double>(res.probes - m);
   EXPECT_LE(overhead, 8.0 * theory::threshold_overhead_scale(m, n))
@@ -200,7 +226,7 @@ TEST(AllocationTime, AdaptiveLinearInM) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 16ULL * n;
   rng::Engine gen(14);
-  const AllocationResult res = AdaptiveProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("adaptive")->run(m, n, gen);
   const double per_ball = static_cast<double>(res.probes) / static_cast<double>(m);
   EXPECT_GE(per_ball, 1.0);
   EXPECT_LE(per_ball, 8.0);
@@ -212,7 +238,7 @@ TEST(AllocationTime, SlackZeroAdaptivePaysCouponCollector) {
   constexpr std::uint32_t n = 1 << 10;
   constexpr std::uint64_t m = 8ULL * n;
   rng::Engine gen(15);
-  const AllocationResult tight = AdaptiveProtocol{0}.run(m, n, gen);
+  const AllocationResult tight = make_protocol("adaptive[0]")->run(m, n, gen);
   const double per_ball = static_cast<double>(tight.probes) / static_cast<double>(m);
   // H_n ~ ln(1024) ~ 6.9; the per-stage cost is ~ n*H_n / n. Allow wide band.
   EXPECT_GE(per_ball, 3.0);
@@ -226,7 +252,7 @@ TEST(Smoothness, AdaptiveGapIsLogarithmic) {
   constexpr std::uint32_t n = 1 << 12;
   constexpr std::uint64_t m = 32ULL * n;
   rng::Engine gen(16);
-  const AllocationResult res = AdaptiveProtocol{}.run(m, n, gen);
+  const AllocationResult res = make_protocol("adaptive")->run(m, n, gen);
   const double gap = load_gap(res.loads);
   EXPECT_LE(gap, 6.0 * std::log(static_cast<double>(n)) + 4.0);
 }
@@ -237,8 +263,8 @@ TEST(Smoothness, ThresholdGapGrowsWithHeavyLoad) {
   constexpr std::uint32_t n = 256;
   constexpr std::uint64_t m = static_cast<std::uint64_t>(n) * n;
   rng::Engine g1(17), g2(17);
-  const AllocationResult th = ThresholdProtocol{}.run(m, n, g1);
-  const AllocationResult ad = AdaptiveProtocol{}.run(m, n, g2);
+  const AllocationResult th = make_protocol("threshold")->run(m, n, g1);
+  const AllocationResult ad = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_GT(load_gap(th.loads), 2 * load_gap(ad.loads));
 }
 

@@ -81,8 +81,7 @@ TEST(GoldenPins, DeriveSeedMaster42) {
 }  // namespace
 }  // namespace bbb::rng
 
-#include "bbb/core/protocols/adaptive.hpp"
-#include "bbb/core/protocols/threshold.hpp"
+#include "bbb/core/protocols/registry.hpp"
 
 namespace bbb::core {
 namespace {
@@ -91,7 +90,7 @@ namespace {
 // A change anywhere in that chain moves these loads.
 TEST(GoldenPins, AdaptiveSeed42M100N10) {
   rng::Engine gen(42);
-  const auto res = AdaptiveProtocol{}.run(100, 10, gen);
+  const auto res = make_protocol("adaptive")->run(100, 10, gen);
   EXPECT_EQ(res.loads,
             (std::vector<std::uint32_t>{9, 10, 11, 9, 10, 8, 11, 10, 11, 11}));
   EXPECT_EQ(res.probes, 131u);
@@ -99,7 +98,7 @@ TEST(GoldenPins, AdaptiveSeed42M100N10) {
 
 TEST(GoldenPins, ThresholdSeed42M100N10) {
   rng::Engine gen(42);
-  const auto res = ThresholdProtocol{}.run(100, 10, gen);
+  const auto res = make_protocol("threshold")->run(100, 10, gen);
   EXPECT_EQ(res.loads,
             (std::vector<std::uint32_t>{10, 11, 10, 6, 9, 11, 11, 11, 11, 10}));
   EXPECT_EQ(res.probes, 104u);

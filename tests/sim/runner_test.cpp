@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bbb/par/thread_pool.hpp"
 
 namespace bbb::sim {
@@ -106,6 +109,63 @@ TEST(Runner, Validation) {
   cfg = small_config();
   cfg.protocol_spec = "bogus";
   EXPECT_THROW((void)run_experiment(cfg), std::invalid_argument);
+}
+
+void expect_same_record(const ReplicateRecord& a, const ReplicateRecord& b) {
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.max_load, b.max_load);
+  EXPECT_EQ(a.min_load, b.min_load);
+  EXPECT_EQ(a.gap, b.gap);
+  EXPECT_EQ(a.psi, b.psi);
+  EXPECT_EQ(a.log_phi, b.log_phi);
+  EXPECT_EQ(a.reallocations, b.reallocations);
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.shard_counters, b.shard_counters);
+  EXPECT_EQ(a.wall_ns, b.wall_ns);
+}
+
+TEST(Runner, LayoutSelectsStorageNotResults) {
+  // --layout picks the BinState storage only: every field of every
+  // replicate record is identical wide vs compact, doubles included, for
+  // every registry family — batched[c]'s LW rounds included.
+  struct Row {
+    std::string spec;
+    std::uint64_t m;
+  };
+  std::vector<Row> rows;
+  for (const char* spec :
+       {"one-choice", "greedy[2]", "greedy[3]", "left[2]", "memory[1,1]", "threshold",
+        "threshold[0]", "threshold[2]", "doubling-threshold[0]", "adaptive",
+        "adaptive[0]", "adaptive[2]", "adaptive-net", "adaptive-net[2]", "adaptive-total",
+        "adaptive-total[2]", "stale-adaptive[4]", "skewed-adaptive[50]", "self-balancing",
+        "capacities=1,2:greedy[2]", "shards[1]:adaptive", "shards[2]:greedy[2]"}) {
+    for (const std::uint64_t m : {0, 1500, 10000}) rows.push_back({spec, m});
+  }
+  // Capacity-bounded families: m stays within c * n.
+  for (const char* spec : {"batched[2]", "capacities=1,2:batched[2]", "cuckoo[2,4]"}) {
+    for (const std::uint64_t m : {0, 1500}) rows.push_back({spec, m});
+  }
+  par::ThreadPool pool(2);
+  for (const Row& row : rows) {
+    ExperimentConfig cfg;
+    cfg.protocol_spec = row.spec;
+    cfg.m = row.m;
+    cfg.n = 1000;
+    cfg.replicates = 2;
+    cfg.seed = 7;
+    cfg.layout = core::StateLayout::kWide;
+    const RunSummary wide = run_experiment(cfg, pool);
+    cfg.layout = core::StateLayout::kCompact;
+    const RunSummary compact = run_experiment(cfg, pool);
+    ASSERT_EQ(wide.records.size(), compact.records.size());
+    for (std::size_t r = 0; r < wide.records.size(); ++r) {
+      SCOPED_TRACE(row.spec + " m=" + std::to_string(row.m) + " replicate " +
+                   std::to_string(r));
+      expect_same_record(wide.records[r], compact.records[r]);
+    }
+  }
 }
 
 TEST(Runner, DescribeMentionsKeyFields) {

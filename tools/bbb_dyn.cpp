@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bbb/core/protocols/registry.hpp"
 #include "bbb/dyn/engine.hpp"
 #include "bbb/io/argparse.hpp"
 #include "bbb/io/csv.hpp"
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
 
     if (args.get_u64("list") != 0) {
       std::puts("rules (every protocol registry spec):");
-      for (const auto& s : bbb::dyn::streaming_allocator_specs()) {
+      for (const auto& s : bbb::core::protocol_specs()) {
         std::printf("  %s\n", s.c_str());
       }
       std::puts("workloads:");

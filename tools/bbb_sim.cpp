@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bbb/core/metrics.hpp"
+#include "bbb/core/protocols/batched.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
 #include "bbb/io/argparse.hpp"
@@ -20,6 +21,57 @@
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
 #include "bbb/sim/runner.hpp"
+
+namespace {
+
+/// Load histogram of one representative run (replicate 0's seed), built
+/// the way run_replicate runs that spec. The streamed and sharded paths
+/// read the state's level counts — O(max load), no 32-bit load vector (at
+/// n = 2^30 compact that vector alone would be 4 GiB); batched[c]'s LW
+/// rounds are a batch algorithm, so its histogram comes from its loads.
+bbb::stats::IntHistogram replicate0_histogram(const bbb::sim::ExperimentConfig& cfg) {
+  bbb::rng::Engine gen = bbb::rng::SeedSequence(cfg.seed).engine(0);
+  bbb::stats::IntHistogram hist;
+  if (cfg.tier == bbb::sim::Tier::kLaw) {
+    // Law tier: the sampled profile IS the histogram.
+    const auto profile = bbb::law::sample_one_choice_profile(cfg.m, cfg.n, gen);
+    for (std::size_t i = 0; i < profile.counts().size(); ++i) {
+      if (profile.counts()[i] > 0) hist.add(profile.base() + i, profile.counts()[i]);
+    }
+    return hist;
+  }
+  if (const auto prefix = bbb::core::split_spec_prefix(cfg.protocol_spec, "protocol");
+      prefix.shards != 0) {
+    bbb::shard::ShardOptions opt;
+    opt.shards = prefix.shards;
+    opt.layout = cfg.layout;
+    opt.m_hint = cfg.m;
+    bbb::shard::ShardedAllocator engine(prefix.rest, cfg.n, opt);
+    engine.run(cfg.m, gen);
+    const auto levels = engine.merged_level_counts();
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      if (levels[l] > 0) hist.add(l, levels[l]);
+    }
+    return hist;
+  }
+  if (const auto protocol = bbb::core::make_protocol(cfg.protocol_spec);
+      dynamic_cast<const bbb::core::BatchedProtocol*>(protocol.get()) != nullptr) {
+    return bbb::core::load_histogram(protocol->run(cfg.m, cfg.n, gen).loads);
+  }
+  const auto alloc =
+      bbb::core::make_streaming_allocator(cfg.protocol_spec, cfg.n, cfg.m, cfg.layout);
+  alloc->set_engine_exclusive(true);
+  alloc->place_batch(cfg.m, gen);
+  alloc->finalize(gen);
+  const bbb::core::BinState& state = alloc->state();
+  const auto& levels = state.level_counts();
+  for (std::uint32_t l = 0; l <= state.max_load(); ++l) {
+    if (levels[l] > 0) hist.add(l, levels[l]);
+  }
+  return hist;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bbb::io::ArgParser args("bbb_sim", "run one protocol experiment and summarize it");
@@ -110,61 +162,8 @@ int main(int argc, char** argv) {
     bbb::obs::print_summary(s.obs, stderr);
 
     if (args.get_u64("histogram") != 0) {
-      // One representative run for the histogram (replicate 0's seed).
-      bbb::rng::Engine gen = bbb::rng::SeedSequence(cfg.seed).engine(0);
-      if (cfg.tier == bbb::sim::Tier::kLaw) {
-        // Law tier: the sampled profile IS the histogram.
-        const auto profile = bbb::law::sample_one_choice_profile(cfg.m, cfg.n, gen);
-        bbb::stats::IntHistogram hist;
-        for (std::size_t i = 0; i < profile.counts().size(); ++i) {
-          if (profile.counts()[i] > 0) hist.add(profile.base() + i, profile.counts()[i]);
-        }
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(hist.render_ascii(48).c_str(), stdout);
-      } else if (cfg.layout == bbb::core::StateLayout::kWide) {
-        const auto protocol = bbb::core::make_protocol(cfg.protocol_spec);
-        const auto res = protocol->run(cfg.m, cfg.n, gen);
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(bbb::core::load_histogram(res.loads).render_ascii(48).c_str(),
-                   stdout);
-      } else if (const auto prefix =
-                     bbb::core::split_spec_prefix(cfg.protocol_spec, "protocol");
-                 prefix.shards != 0) {
-        // Compact + sharded: run the engine and read the merged level
-        // counts (still no 32-bit load vector materialized).
-        bbb::shard::ShardOptions opt;
-        opt.shards = prefix.shards;
-        opt.layout = cfg.layout;
-        opt.m_hint = cfg.m;
-        bbb::shard::ShardedAllocator engine(prefix.rest, cfg.n, opt);
-        engine.run(cfg.m, gen);
-        const auto levels = engine.merged_level_counts();
-        bbb::stats::IntHistogram hist;
-        for (std::size_t l = 0; l < levels.size(); ++l) {
-          if (levels[l] > 0) hist.add(l, levels[l]);
-        }
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(hist.render_ascii(48).c_str(), stdout);
-      } else {
-        // Compact layout: stream the replicate and build the histogram
-        // straight off the state's incremental level counts — O(max load),
-        // no 32-bit load vector is ever materialized (at n = 2^30 that
-        // vector alone would be 4 GiB).
-        const auto alloc = bbb::core::make_streaming_allocator(cfg.protocol_spec,
-                                                               cfg.n, cfg.m,
-                                                               cfg.layout);
-        alloc->set_engine_exclusive(true);
-        for (std::uint64_t i = 0; i < cfg.m; ++i) (void)alloc->place(gen);
-        alloc->finalize(gen);
-        const bbb::core::BinState& state = alloc->state();
-        bbb::stats::IntHistogram hist;
-        const auto& levels = state.level_counts();
-        for (std::uint32_t l = 0; l <= state.max_load(); ++l) {
-          if (levels[l] > 0) hist.add(l, levels[l]);
-        }
-        std::puts("\nload histogram (replicate 0):");
-        std::fputs(hist.render_ascii(48).c_str(), stdout);
-      }
+      std::puts("\nload histogram (replicate 0):");
+      std::fputs(replicate0_histogram(cfg).render_ascii(48).c_str(), stdout);
     }
 
     const std::string csv_path = args.get_string("csv");
