@@ -1,5 +1,7 @@
 #include "bbb/core/protocols/doubling_threshold.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "bbb/core/probe.hpp"
@@ -13,7 +15,21 @@ DoublingThresholdRule::DoublingThresholdRule(std::uint32_t n,
   if (n == 0) {
     throw std::invalid_argument("DoublingThresholdRule: n must be positive");
   }
-  bound_ = static_cast<std::uint32_t>(ceil_div(guess_, n));
+  bound_ = bound_for(guess_, n);
+}
+
+std::uint32_t DoublingThresholdRule::bound_for(std::uint64_t guess,
+                                               std::uint32_t n) noexcept {
+  // Loads are uint32, so a bound saturated at UINT32_MAX accepts exactly
+  // the bins the true bound accepts; truncating would give a bound below
+  // every load and a run that never finishes.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  return static_cast<std::uint32_t>(std::min(ceil_div(guess, n), kMax));
+}
+
+std::uint64_t DoublingThresholdRule::doubled(std::uint64_t guess) noexcept {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  return guess > kMax / 2 ? kMax : guess * 2;
 }
 
 std::string DoublingThresholdRule::name() const {
@@ -25,9 +41,10 @@ std::uint32_t DoublingThresholdRule::do_place(BinState& state, std::uint32_t /*w
   const std::uint32_t n = state.n();
   // Guess exhausted: double and recompute the bound before placing. The
   // clock is the monotone total placement count, not the net population.
-  while (total_placed() >= guess_) {
-    guess_ *= 2;
-    bound_ = static_cast<std::uint32_t>(ceil_div(guess_, n));
+  constexpr std::uint64_t kMaxGuess = std::numeric_limits<std::uint64_t>::max();
+  while (total_placed() >= guess_ && guess_ != kMaxGuess) {
+    guess_ = doubled(guess_);
+    bound_ = bound_for(guess_, n);
   }
   const std::uint32_t bin = probe_until(
       gen, n, probes_,

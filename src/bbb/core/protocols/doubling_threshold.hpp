@@ -36,6 +36,12 @@ class DoublingThresholdRule final : public PlacementRule {
   /// Acceptance bound in force: load <= ceil(M/n).
   [[nodiscard]] std::uint32_t accept_bound() const noexcept { return bound_; }
 
+  /// ceil(guess / n) computed in uint64 and saturated at UINT32_MAX.
+  [[nodiscard]] static std::uint32_t bound_for(std::uint64_t guess,
+                                               std::uint32_t n) noexcept;
+  /// 2 * guess, saturated at UINT64_MAX instead of wrapping to 0.
+  [[nodiscard]] static std::uint64_t doubled(std::uint64_t guess) noexcept;
+
  protected:
   std::uint32_t do_place(BinState& state, std::uint32_t weight,
                          rng::Engine& gen) override;

@@ -256,7 +256,7 @@ std::unique_ptr<PlacementRule> make_rule(const std::string& spec, std::uint32_t 
   reject_weighted_prefix(prefix, spec);
   if (prefix.shards != 0) {
     // A rule is one shard's decision logic; the engine owning the worker
-    // threads and the ring mesh is a different object.
+    // threads and their round exchange is a different object.
     throw std::invalid_argument(
         "protocol spec '" + spec +
         "': 'shards[t]:' builds a multi-threaded engine, not a streaming "

@@ -47,8 +47,8 @@
 ///
 /// A spec may instead carry the sharded-engine prefix
 ///   shards[t]:spec               e.g. shards[4]:greedy[2]
-/// which runs the rule on t worker threads over the SPSC ring mesh of
-/// shard/engine.hpp — exactly distribution-equal to the sequential rule
+/// which runs the rule on t worker threads in the bulk-synchronous rounds
+/// of shard/engine.hpp — exactly distribution-equal to the sequential rule
 /// (t = 1 is bit-identical). Cannot combine with `capacities=`; t > 1
 /// supports one-choice / greedy[d] / left[d].
 ///

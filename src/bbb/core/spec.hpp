@@ -13,7 +13,7 @@
 ///   weighted:rest               atomic weighted arrivals — a whole chain
 ///                               lands in one bin (workload registry);
 ///   shards[t]:rest              the sharded multi-core engine — t worker
-///                               threads over an SPSC ring mesh, exactly
+///                               threads in bulk-synchronous rounds, exactly
 ///                               distribution-equal to the sequential rule
 ///                               (protocol registry; see shard/engine.hpp).
 

@@ -111,4 +111,14 @@ void fold_into(MetricsRegistry& registry, const shard::ShardCounters& counters) 
                      static_cast<double>(counters.ring_highwater));
 }
 
+void fold_into(MetricsRegistry& registry, const shard::ShardPhaseTimes& times) {
+  if (times == shard::ShardPhaseTimes{}) return;
+  registry.add_counter("shard.phase.draw.ns", times.draw_ns);
+  registry.add_counter("shard.phase.serve.ns", times.serve_ns);
+  registry.add_counter("shard.phase.decide.ns", times.decide_ns);
+  registry.add_counter("shard.phase.apply.ns", times.apply_ns);
+  registry.add_counter("shard.phase.cleanup.ns", times.cleanup_ns);
+  registry.add_counter("shard.barrier.wait_ns", times.barrier_wait_ns);
+}
+
 }  // namespace bbb::obs

@@ -27,8 +27,11 @@
 ///   shard.sync_rounds                synchronized rounds, summed over shards
 ///   shard.probe.cross_shard          probes routed to another shard's bins
 ///   shard.ball.deferred              balls replayed in the cleanup sub-phase
-///   shard.message.count              SPSC ring messages pushed (req+rep+commit)
-///   shard.ring.highwater             max outbound-ring occupancy observed
+///   shard.message.count              counted messages (req+rep+commit)
+///   shard.ring.highwater             peak cross-shard request-bucket length
+///   shard.phase.<phase>.ns           worker wall time per round phase
+///                                    (draw, serve, decide, apply, cleanup)
+///   shard.barrier.wait_ns            worker time waiting in the barrier
 
 #include <cstdint>
 
@@ -88,5 +91,10 @@ void fold_into(MetricsRegistry& registry, const CoreCounters& counters);
 /// nonzero), so unsharded summaries stay free of shard rows; highwater is
 /// a gauge (max across replicates), the rest are summed counters.
 void fold_into(MetricsRegistry& registry, const shard::ShardCounters& counters);
+
+/// Fold a sharded run's phase timings (summed over workers) as counters
+/// under shard.phase.<phase>.ns and shard.barrier.wait_ns. Registered only
+/// when the multi-shard engine ran (any timing nonzero).
+void fold_into(MetricsRegistry& registry, const shard::ShardPhaseTimes& times);
 
 }  // namespace bbb::obs

@@ -4,7 +4,7 @@
 ///
 /// std::barrier would do, but its completion-step machinery and
 /// implementation-defined blocking are more than the shard engine wants:
-/// the workers synchronize ~5 times per round and otherwise never sleep,
+/// the workers synchronize 4 times per round and otherwise never sleep,
 /// so the right primitive is a generation-counted spin barrier that
 /// *yields* while waiting. Yielding matters more than raw spin speed
 /// here: the engine must degrade gracefully when there are more shards
@@ -15,9 +15,9 @@
 /// Memory ordering: the generation bump is a release store and waiters
 /// re-read it with acquire loads, so everything written before
 /// arrive_and_wait() on any thread is visible after it on every thread —
-/// the property the shard engine's "drain rings until empty after the
-/// barrier" pattern relies on (all pushes of the previous phase are
-/// visible, so empty means complete).
+/// the property the shard engine's round exchange relies on: the arrays
+/// one worker filled in a phase are complete and visible to their readers
+/// in the next phase, with no other synchronization.
 
 #include <atomic>
 #include <cstdint>

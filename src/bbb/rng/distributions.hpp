@@ -18,6 +18,12 @@
 
 namespace bbb::rng {
 
+/// ln|Gamma(x)|, bit-identical to std::lgamma but thread-safe: it calls
+/// the reentrant lgamma_r, whereas std::lgamma writes glibc's global
+/// `signgam` — a data race when replicates run on pool threads. Every
+/// log-gamma in the library goes through here.
+[[nodiscard]] double log_gamma(double x) noexcept;
+
 /// Exponential(rate): density rate*exp(-rate*x) on x >= 0.
 class ExponentialDist {
  public:

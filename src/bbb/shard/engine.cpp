@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,9 +14,7 @@
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/spec.hpp"
 #include "bbb/par/spin_barrier.hpp"
-#include "bbb/par/spsc_ring.hpp"
 #include "bbb/rng/streams.hpp"
-#include "bbb/shard/messages.hpp"
 
 namespace bbb::shard {
 
@@ -25,96 +24,78 @@ namespace {
 /// no information (the original error lives in that worker's slot).
 struct Aborted {};
 
-/// Chunk size of the single-shard command stream — the same 64Ki stride
-/// the sim runner's heartbeat path uses, so the ring is genuinely
-/// exercised on long runs without measurable per-chunk overhead.
+/// Chunk size of the single-shard stream — the same 64Ki stride the sim
+/// runner's heartbeat path uses. Each chunk counts as one message.
 constexpr std::uint64_t kSingleChunk = 0x10000;
 
-template <typename M>
-void push_spin(par::SpscRing<M>& ring, M msg, const std::atomic<bool>& abort) {
-  while (!ring.try_push(msg)) {
-    if (abort.load(std::memory_order_relaxed)) throw Aborted{};
-    std::this_thread::yield();
-  }
+/// Set in a serve reply when an earlier ball of the round already probed
+/// the bin. A round-start load >= 2^31 also reads as a conflict; that only
+/// defers the ball to the exact cleanup replay, so placements stay exact.
+constexpr std::uint32_t kConflictBit = 0x80000000U;
+
+/// Requests ahead of the current one whose bins serve prefetches, so the
+/// owner's random stamp and load reads overlap instead of serializing.
+constexpr std::size_t kPrefetchAhead = 16;
+
+void prefetch_write(const void* p) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, 1, 3);
+#else
+  (void)p;
+#endif
 }
 
-template <typename M>
-[[nodiscard]] M pop_spin(par::SpscRing<M>& ring, const std::atomic<bool>& abort) {
-  M msg;
-  while (!ring.try_pop(msg)) {
-    if (abort.load(std::memory_order_relaxed)) throw Aborted{};
-    std::this_thread::yield();
-  }
-  return msg;
-}
+/// One probe in a (sender, owner) request bucket.
+struct Request {
+  std::uint32_t bin = 0;    ///< owner-local bin
+  std::uint32_t probe = 0;  ///< sender's slice probe index: ball * d + slot
+};
 
 }  // namespace
 
 /// One worker's shard: its bins, its RNG substream, and all per-round
-/// scratch. Every field is touched by exactly one thread during a phase
-/// (the deferred vector is read by worker 0 in the cleanup phase, after a
-/// barrier published it).
+/// scratch. Between two barriers every field has one writer: the bucket
+/// vectors indexed by owner are filled by this worker (the sender) and
+/// read by the owner in the next phase, `rep[o]` is written by owner o in
+/// serve, and the deferred list is read by worker 0 in cleanup.
 struct ShardedAllocator::Worker {
   core::BinState state;
   rng::Engine eng{0};
-  std::uint32_t first = 0;  ///< first global bin
-  std::uint32_t nbins = 0;
 
-  // Per-round scratch, sized once to the maximum slice.
+  // Per-round scratch of this worker's slice, sized once to the maximum.
   std::vector<std::uint32_t> probe_bins;   ///< slice * d global bins
-  std::vector<std::uint32_t> probe_loads;  ///< slice * d round-start loads
-  std::vector<std::uint8_t> defer_flag;    ///< per ball
+  std::vector<std::uint32_t> probe_loads;  ///< slice * d replies (load | conflict)
   std::vector<std::uint64_t> aux;          ///< greedy tie-break words
-  std::vector<std::uint32_t> probe_epoch;  ///< per local bin: round stamp
-  std::vector<std::uint32_t> probe_first;  ///< per local bin: first prober
+  /// Per local bin: the round ball id + 1 of its first prober, 0 = none.
+  /// Zeroed again in apply, so it is all-zero between rounds.
+  std::vector<std::uint32_t> stamp;
+
+  std::vector<std::vector<Request>> req;        ///< [owner] outbound probes
+  std::vector<std::vector<std::uint32_t>> rep;  ///< [owner] replies, parallel to req
+  std::vector<std::vector<std::uint32_t>> win;  ///< [owner] decided winners, owner-local
 
   struct Deferred {
-    std::uint64_t gid = 0;  ///< global ball index (round-major order)
     std::uint64_t aux = 0;
     std::array<std::uint32_t, kMaxShardD> bins{};
   };
   std::vector<Deferred> deferred;
-  std::vector<std::uint32_t> local_commits;  ///< local bin ids
 
   ShardCounters counters;
+  ShardPhaseTimes times;
   std::exception_ptr error;
 
-  Worker(std::uint32_t bins, core::StateLayout layout) : state(bins, layout), nbins(bins) {}
+  Worker(std::uint32_t bins, core::StateLayout layout, std::uint32_t shards)
+      : state(bins, layout), stamp(bins, 0), req(shards), rep(shards), win(shards) {}
 };
 
-/// The T*T ring mesh plus the round barrier and cleanup handshake.
-struct ShardedAllocator::Mesh {
-  std::uint32_t shards;
-  std::vector<std::unique_ptr<par::SpscRing<ProbeRequest>>> req;
-  std::vector<std::unique_ptr<par::SpscRing<ProbeReply>>> rep;
-  std::vector<std::unique_ptr<par::SpscRing<Commit>>> com;
+/// The round barrier and the abort flag a failing worker raises.
+struct ShardedAllocator::Sync {
   par::SpinBarrier barrier;
-  std::atomic<std::uint64_t> cleanup_done{0};  ///< rounds fully cleaned up
   std::atomic<bool> abort{false};
 
-  Mesh(std::uint32_t t, std::size_t probe_cap, std::size_t commit_cap)
-      : shards(t), barrier(t) {
-    req.reserve(static_cast<std::size_t>(t) * t);
-    rep.reserve(static_cast<std::size_t>(t) * t);
-    com.reserve(static_cast<std::size_t>(t) * t);
-    for (std::uint32_t i = 0; i < t * t; ++i) {
-      req.push_back(std::make_unique<par::SpscRing<ProbeRequest>>(probe_cap));
-      rep.push_back(std::make_unique<par::SpscRing<ProbeReply>>(probe_cap));
-      com.push_back(std::make_unique<par::SpscRing<Commit>>(commit_cap));
-    }
-  }
+  explicit Sync(std::uint32_t t) : barrier(t) {}
 
-  [[nodiscard]] par::SpscRing<ProbeRequest>& rq(std::uint32_t from, std::uint32_t to) {
-    return *req[static_cast<std::size_t>(from) * shards + to];
-  }
-  [[nodiscard]] par::SpscRing<ProbeReply>& rp(std::uint32_t from, std::uint32_t to) {
-    return *rep[static_cast<std::size_t>(from) * shards + to];
-  }
-  [[nodiscard]] par::SpscRing<Commit>& cm(std::uint32_t from, std::uint32_t to) {
-    return *com[static_cast<std::size_t>(from) * shards + to];
-  }
-
-  void sync() {
+  void wait() {
     if (!barrier.arrive_and_wait(abort)) throw Aborted{};
   }
 };
@@ -179,6 +160,14 @@ std::pair<std::uint32_t, std::uint32_t> ShardedAllocator::group_range(
 std::uint32_t ShardedAllocator::decide_slot(const std::uint32_t* loads, std::uint32_t d,
                                             std::uint64_t aux) const noexcept {
   if (kind_ == Kind::kOneChoice) return 0;
+  if (d == 2) {
+    // The general paths below, unrolled: a tie draws lemire_map(aux, 2)
+    // for greedy and keeps the left slot for left[2].
+    const std::uint32_t tie =
+        kind_ == Kind::kGreedy ? static_cast<std::uint32_t>(rng::lemire_map(aux, 2)) : 0;
+    const std::uint32_t less = loads[1] < loads[0] ? 1 : 0;
+    return loads[0] == loads[1] ? tie : less;
+  }
   if (kind_ == Kind::kLeft) {
     // Vöcking's always-go-left: strict < keeps the leftmost minimum.
     std::uint32_t best = 0;
@@ -222,53 +211,20 @@ void ShardedAllocator::run(std::uint64_t m, rng::Engine& gen) {
 }
 
 void ShardedAllocator::run_single(std::uint64_t m, rng::Engine& gen) {
-  // The worker owns the engine and the rule for the whole run, so the
-  // engine-exclusivity promise holds and placements are bit-for-bit the
-  // StreamingAllocator place_batch + finalize stream.
+  // The calling thread owns the engine and the rule for the whole run, so
+  // the engine-exclusivity promise holds and placements are bit-for-bit
+  // the StreamingAllocator place_batch + finalize stream.
   rule_->set_engine_exclusive(true);
-  par::SpscRing<std::uint64_t> ring(16);
-  std::atomic<bool> worker_done{false};
-  std::exception_ptr error;
-
-  std::thread worker([&] {
-    try {
-      for (;;) {
-        std::uint64_t chunk = 0;
-        if (!ring.try_pop(chunk)) {
-          std::this_thread::yield();
-          continue;
-        }
-        if (chunk == 0) break;
-        rule_->place_batch(*single_state_, chunk, gen);
-        counters_.balls += chunk;
-      }
-      rule_->finalize(*single_state_, gen);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    worker_done.store(true, std::memory_order_release);
-  });
-
-  std::uint64_t left = m;
-  bool sentinel_sent = false;
-  while (!sentinel_sent && !worker_done.load(std::memory_order_acquire)) {
-    std::uint64_t msg = left == 0 ? 0 : std::min(kSingleChunk, left);
-    if (!ring.try_push(msg)) {
-      std::this_thread::yield();
-      continue;
-    }
+  for (std::uint64_t left = m; left > 0;) {
+    const std::uint64_t chunk = std::min(kSingleChunk, left);
+    rule_->place_batch(*single_state_, chunk, gen);
+    counters_.balls += chunk;
     ++counters_.messages;
-    const std::size_t occ = ring.size();
-    if (occ > counters_.ring_highwater) counters_.ring_highwater = occ;
-    if (msg == 0) {
-      sentinel_sent = true;
-    } else {
-      left -= msg;
-    }
+    left -= chunk;
   }
-  worker.join();
+  ++counters_.messages;  // the end marker
+  rule_->finalize(*single_state_, gen);
   rule_->set_engine_exclusive(false);
-  if (error) std::rethrow_exception(error);
   counters_.probes = rule_->probes();
 }
 
@@ -285,25 +241,14 @@ void ShardedAllocator::run_sharded(std::uint64_t m, rng::Engine& gen) {
   workers_.clear();
   workers_.reserve(t);
   for (std::uint32_t s = 0; s < t; ++s) {
-    auto w = std::make_unique<Worker>(topo_.shard_bins(s), opt_.layout);
-    w->first = topo_.first_bin(s);
+    auto w = std::make_unique<Worker>(topo_.shard_bins(s), opt_.layout, t);
     w->eng = seq.engine(s);
     w->probe_bins.resize(static_cast<std::size_t>(slice_max) * d_);
     w->probe_loads.resize(static_cast<std::size_t>(slice_max) * d_);
-    w->defer_flag.resize(slice_max);
     if (kind_ == Kind::kGreedy) w->aux.resize(slice_max);
-    w->probe_epoch.assign(w->nbins, 0);
-    w->probe_first.assign(w->nbins, 0);
-    w->deferred.reserve(64);
-    w->local_commits.reserve(slice_max);
     workers_.push_back(std::move(w));
   }
-  // Ring capacities guarantee the bounded phases never block: a sender
-  // pushes at most slice * d probe messages (and slice commits) per round
-  // into any one ring; only cleanup traffic can exceed that, and its
-  // receivers are actively draining.
-  mesh_ = std::make_unique<Mesh>(t, static_cast<std::size_t>(slice_max) * d_ + 8,
-                                 static_cast<std::size_t>(slice_max) + 8);
+  sync_ = std::make_unique<Sync>(t);
 
   std::vector<std::thread> threads;
   threads.reserve(t);
@@ -315,35 +260,52 @@ void ShardedAllocator::run_sharded(std::uint64_t m, rng::Engine& gen) {
   for (std::uint32_t s = 0; s < t; ++s) {
     if (workers_[s]->error) std::rethrow_exception(workers_[s]->error);
   }
-  for (std::uint32_t s = 0; s < t; ++s) counters_ += workers_[s]->counters;
+  for (std::uint32_t s = 0; s < t; ++s) {
+    counters_ += workers_[s]->counters;
+    phase_times_ += workers_[s]->times;
+  }
   sync_rounds_ = (m + round_total_ - 1) / round_total_;
-  mesh_.reset();
+  sync_.reset();
 }
 
 void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
+  using Clock = std::chrono::steady_clock;
   Worker& w = *workers_[s];
-  Mesh& mesh = *mesh_;
   const std::uint32_t t = topo_.shards();
   const std::uint32_t n = topo_.n();
+  const std::uint32_t d = d_;
+  const FastDivU32 ball_of_probe(d);
   const std::uint64_t rounds = (m + round_total_ - 1) / round_total_;
+
+  // Every phase and barrier wait ends with a lap onto its timer.
+  Clock::time_point mark = Clock::now();
+  const auto lap = [&mark](std::uint64_t& ns) {
+    const Clock::time_point now = Clock::now();
+    ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(now - mark).count());
+    mark = now;
+  };
+  const auto barrier = [&] {
+    sync_->wait();
+    lap(w.times.barrier_wait_ns);
+  };
 
   try {
     for (std::uint64_t r = 0; r < rounds; ++r) {
-      const std::uint64_t round_base = r * round_total_;
-      const std::uint64_t b = std::min(round_total_, m - round_base);
-      const auto lo = static_cast<std::uint32_t>(s * b / t);
-      const auto hi = static_cast<std::uint32_t>((static_cast<std::uint64_t>(s) + 1) * b / t);
-      const std::uint32_t cnt = hi - lo;
-      const auto stamp = static_cast<std::uint32_t>(r + 1);
-      w.deferred.clear();
-      w.local_commits.clear();
-      std::fill(w.defer_flag.begin(), w.defer_flag.begin() + cnt, std::uint8_t{0});
+      const std::uint64_t b = std::min(round_total_, m - r * round_total_);
+      const auto slice_lo = [&](std::uint32_t q) {
+        return static_cast<std::uint32_t>(q * b / t);
+      };
+      const std::uint32_t cnt = slice_lo(s + 1) - slice_lo(s);
 
-      // --- phase A: draw probes from this shard's substream, route the
-      // cross-shard ones. Draw order is fixed (ball-major, slot-major), so
-      // the stream depends only on the substream seed.
+      // --- draw: probes from this shard's substream, each appended to its
+      // owner's bucket. Draw order is fixed (ball-major, slot-major), so
+      // the stream depends only on the substream seed. Touches neither
+      // BinState nor the deferred lists, so it may overlap the previous
+      // round's cleanup on worker 0.
+      for (std::vector<Request>& bucket : w.req) bucket.clear();
       for (std::uint32_t i = 0; i < cnt; ++i) {
-        for (std::uint32_t g = 0; g < d_; ++g) {
+        for (std::uint32_t g = 0; g < d; ++g) {
           std::uint32_t bin = 0;
           if (kind_ == Kind::kLeft) {
             const auto [first, last] = group_range(g);
@@ -352,243 +314,132 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
           } else {
             bin = static_cast<std::uint32_t>(rng::uniform_below(w.eng, n));
           }
-          w.probe_bins[static_cast<std::size_t>(i) * d_ + g] = bin;
+          const std::uint32_t probe = i * d + g;
+          w.probe_bins[probe] = bin;
+          const std::uint32_t owner = topo_.shard_of(bin);
+          w.req[owner].push_back(Request{topo_.local_of(bin, owner), probe});
         }
         if (kind_ == Kind::kGreedy) w.aux[i] = w.eng();
       }
-      w.counters.probes += static_cast<std::uint64_t>(cnt) * d_;
+      for (std::uint32_t o = 0; o < t; ++o) {
+        const std::size_t len = w.req[o].size();
+        w.rep[o].resize(len);
+        if (o == s) continue;
+        w.counters.cross_shard_probes += len;
+        w.counters.messages += 2 * len;  // request + reply
+        w.counters.ring_highwater = std::max<std::uint64_t>(w.counters.ring_highwater,
+                                                            len);
+      }
+      w.counters.probes += static_cast<std::uint64_t>(cnt) * d;
       w.counters.balls += cnt;
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        for (std::uint32_t g = 0; g < d_; ++g) {
-          const std::uint32_t bin = w.probe_bins[static_cast<std::size_t>(i) * d_ + g];
-          const std::uint32_t owner = topo_.shard_of(bin);
-          if (owner == s) continue;
-          push_spin(mesh.rq(s, owner),
-                    ProbeRequest{topo_.local_of(bin, owner),
-                                 static_cast<std::uint16_t>(i),
-                                 static_cast<std::uint8_t>(g)},
-                    mesh.abort);
-          ++w.counters.cross_shard_probes;
-          ++w.counters.messages;
-        }
-      }
-      for (std::uint32_t to = 0; to < t; ++to) {
-        if (to == s) continue;
-        const std::size_t occ = mesh.rq(s, to).size();
-        if (occ > w.counters.ring_highwater) w.counters.ring_highwater = occ;
-      }
-      mesh.sync();  // A: every request of this round is in its ring
+      lap(w.times.draw_ns);
+      barrier();
 
-      // --- phase B: answer the probes on bins this shard owns, in global
-      // ball order (sender-major), marking conflicts: a probe on a bin
-      // first probed by an *earlier* ball defers the probing ball. A
-      // conflict check on local bin `lb` by round-ball `rid`:
-      const auto conflicted = [&](std::uint32_t lb, std::uint32_t rid) -> bool {
-        if (w.probe_epoch[lb] != stamp) {
-          w.probe_epoch[lb] = stamp;
-          w.probe_first[lb] = rid;
-          return false;
-        }
-        return w.probe_first[lb] < rid;
-      };
+      // --- serve: answer every probe on this shard's bins, sender-major,
+      // which is global ball order. The first prober of a bin stamps it;
+      // a later ball probing it conflicts. Loads are round-start loads:
+      // nothing is applied before apply.
       for (std::uint32_t from = 0; from < t; ++from) {
-        if (from == s) {
-          // This shard's own balls occupy global slots [lo, hi).
-          for (std::uint32_t i = 0; i < cnt; ++i) {
-            for (std::uint32_t g = 0; g < d_; ++g) {
-              const std::size_t idx = static_cast<std::size_t>(i) * d_ + g;
-              const std::uint32_t bin = w.probe_bins[idx];
-              if (topo_.shard_of(bin) != s) continue;
-              const std::uint32_t lb = bin - w.first;
-              if (conflicted(lb, lo + i)) w.defer_flag[i] = 1;
-              // Round-start load: no commit is applied before phase D.
-              w.probe_loads[idx] = w.state.load(lb);
-            }
+        Worker& src = *workers_[from];
+        const std::vector<Request>& in = src.req[s];
+        std::uint32_t* out = src.rep[s].data();
+        const std::uint32_t id0 = slice_lo(from) + 1;
+        for (std::size_t j = 0; j < in.size(); ++j) {
+          if (j + kPrefetchAhead < in.size()) {
+            const std::uint32_t ahead = in[j + kPrefetchAhead].bin;
+            prefetch_write(&w.stamp[ahead]);
+            w.state.prefetch(ahead);
           }
-          continue;
-        }
-        const auto from_lo = static_cast<std::uint32_t>(from * b / t);
-        ProbeRequest rq;
-        while (mesh.rq(from, s).try_pop(rq)) {
-          const std::uint8_t flag = conflicted(rq.bin, from_lo + rq.ball) ? 1 : 0;
-          push_spin(mesh.rp(s, from),
-                    ProbeReply{w.state.load(rq.bin), rq.ball, rq.slot, flag},
-                    mesh.abort);
-          ++w.counters.messages;
+          const Request q = in[j];
+          const std::uint32_t id = id0 + ball_of_probe(q.probe);
+          std::uint32_t& stamp = w.stamp[q.bin];
+          if (stamp == 0) stamp = id;
+          out[j] = w.state.load(q.bin) | (stamp == id ? 0 : kConflictBit);
         }
       }
-      mesh.sync();  // B: every reply is in its ring
+      lap(w.times.serve_ns);
+      barrier();
 
-      // --- phase C: collect replies, decide every non-conflicted ball on
-      // its round-start loads; winners crossing shards become commits.
-      for (std::uint32_t from = 0; from < t; ++from) {
-        if (from == s) continue;
-        ProbeReply rp;
-        while (mesh.rp(from, s).try_pop(rp)) {
-          w.probe_loads[static_cast<std::size_t>(rp.ball) * d_ + rp.slot] = rp.load;
-          if (rp.conflicted != 0) w.defer_flag[rp.ball] = 1;
+      // --- decide: scatter the replies, decide every ball without a
+      // conflict on its round-start loads, bucket winners by owner.
+      w.deferred.clear();
+      for (std::vector<std::uint32_t>& bucket : w.win) bucket.clear();
+      for (std::uint32_t o = 0; o < t; ++o) {
+        const std::vector<Request>& sent = w.req[o];
+        const std::vector<std::uint32_t>& got = w.rep[o];
+        for (std::size_t j = 0; j < sent.size(); ++j) {
+          w.probe_loads[sent[j].probe] = got[j];
         }
       }
       for (std::uint32_t i = 0; i < cnt; ++i) {
-        if (w.defer_flag[i] != 0) {
-          Worker::Deferred def;
-          def.gid = round_base + lo + i;
-          def.aux = kind_ == Kind::kGreedy ? w.aux[i] : 0;
-          for (std::uint32_t g = 0; g < d_; ++g) {
-            def.bins[g] = w.probe_bins[static_cast<std::size_t>(i) * d_ + g];
-          }
-          w.deferred.push_back(def);
+        const std::size_t at = static_cast<std::size_t>(i) * d;
+        const std::uint32_t* loads = w.probe_loads.data() + at;
+        const std::uint32_t* bins = w.probe_bins.data() + at;
+        const std::uint64_t aux = kind_ == Kind::kGreedy ? w.aux[i] : 0;
+        std::uint32_t flags = 0;
+        for (std::uint32_t g = 0; g < d; ++g) flags |= loads[g];
+        if ((flags & kConflictBit) != 0) {
+          Worker::Deferred& def = w.deferred.emplace_back();
+          def.aux = aux;
+          std::copy(bins, bins + d, def.bins.begin());
           ++w.counters.deferred_balls;
           continue;
         }
-        const std::uint32_t slot =
-            decide_slot(w.probe_loads.data() + static_cast<std::size_t>(i) * d_, d_,
-                        kind_ == Kind::kGreedy ? w.aux[i] : 0);
-        const std::uint32_t bin = w.probe_bins[static_cast<std::size_t>(i) * d_ + slot];
+        const std::uint32_t bin = bins[decide_slot(loads, d, aux)];
         const std::uint32_t owner = topo_.shard_of(bin);
-        if (owner == s) {
-          w.local_commits.push_back(bin - w.first);
-        } else {
-          push_spin(mesh.cm(s, owner), Commit{topo_.local_of(bin, owner)}, mesh.abort);
-          ++w.counters.messages;
-        }
+        w.win[owner].push_back(topo_.local_of(bin, owner));
+        w.counters.messages += owner != s ? 1 : 0;  // a cross-shard commit
       }
-      mesh.sync();  // C: every main-phase commit is in its ring
+      lap(w.times.decide_ns);
+      barrier();
 
-      // --- phase D: apply the main-phase commits (local then inbound).
-      for (const std::uint32_t lb : w.local_commits) w.state.add_ball(lb);
+      // --- apply: own winners first, then inbound winners sender-major
+      // (a fixed order, so the floating-point Phi sum is reproducible);
+      // then clear the stamps this round's requests set.
+      for (const std::uint32_t lb : w.win[s]) w.state.add_ball(lb);
       for (std::uint32_t from = 0; from < t; ++from) {
         if (from == s) continue;
-        Commit cm;
-        while (mesh.cm(from, s).try_pop(cm)) w.state.add_ball(cm.bin);
+        for (const std::uint32_t lb : workers_[from]->win[s]) w.state.add_ball(lb);
       }
-      mesh.sync();  // D: all commits applied; deferred lists published
-
-      // --- phase E: worker 0 replays the deferred balls serially in
-      // global order against current loads; everyone else serves.
-      if (s == 0) {
-        cleanup_round(s, r, d_);
-      } else {
-        serve_cleanup(s, r);
+      for (std::uint32_t from = 0; from < t; ++from) {
+        for (const Request& q : workers_[from]->req[s]) w.stamp[q.bin] = 0;
       }
       ++w.counters.rounds;
-      mesh.sync();  // E: round complete, rings empty
+      lap(w.times.apply_ns);
+      barrier();
+
+      // --- cleanup: worker 0 replays the deferred balls; everyone else
+      // goes straight on to the next draw.
+      if (s == 0) {
+        cleanup_round();
+        lap(w.times.cleanup_ns);
+      }
     }
   } catch (const Aborted&) {
     // Another worker failed; its slot carries the real error.
   } catch (...) {
     w.error = std::current_exception();
-    mesh.abort.store(true, std::memory_order_seq_cst);
+    sync_->abort.store(true, std::memory_order_seq_cst);
   }
 }
 
-void ShardedAllocator::cleanup_round(std::uint32_t s, std::uint64_t round,
-                                     std::uint32_t d) {
-  Worker& w0 = *workers_[s];
-  Mesh& mesh = *mesh_;
-  const std::uint32_t t = topo_.shards();
-
-  // K-way merge of the per-worker deferred lists (each ascending in gid)
-  // processes deferred balls in exact global sequential order.
-  std::vector<std::size_t> idx(t, 0);
+void ShardedAllocator::cleanup_round() {
+  // Worker order is global ball order (round slices are contiguous), and
+  // each list is in slice order: replay them back to back, serially,
+  // against current loads, reading and writing every shard directly.
+  ShardCounters& counters = workers_[0]->counters;
   std::array<std::uint32_t, kMaxShardD> loads{};
-  for (;;) {
-    std::uint32_t pick = t;
-    std::uint64_t best_gid = 0;
-    for (std::uint32_t q = 0; q < t; ++q) {
-      const auto& list = workers_[q]->deferred;
-      if (idx[q] >= list.size()) continue;
-      const std::uint64_t gid = list[idx[q]].gid;
-      if (pick == t || gid < best_gid) {
-        pick = q;
-        best_gid = gid;
+  for (const auto& src : workers_) {
+    for (const Worker::Deferred& def : src->deferred) {
+      for (std::uint32_t g = 0; g < d_; ++g) {
+        const std::uint32_t owner = topo_.shard_of(def.bins[g]);
+        loads[g] = workers_[owner]->state.load(topo_.local_of(def.bins[g], owner));
+        if (owner != 0) counters.messages += 2;  // request + reply
       }
-    }
-    if (pick == t) break;
-    const Worker::Deferred& def = workers_[pick]->deferred[idx[pick]];
-    ++idx[pick];
-
-    // Current loads: local bins read directly, remote ones through the
-    // rings while their owners sit in the serve loop.
-    std::uint32_t pending = 0;
-    for (std::uint32_t g = 0; g < d; ++g) {
-      const std::uint32_t bin = def.bins[g];
+      const std::uint32_t bin = def.bins[decide_slot(loads.data(), d_, def.aux)];
       const std::uint32_t owner = topo_.shard_of(bin);
-      if (owner == s) {
-        loads[g] = w0.state.load(bin - w0.first);
-      } else {
-        push_spin(mesh.rq(s, owner),
-                  ProbeRequest{topo_.local_of(bin, owner), 0,
-                               static_cast<std::uint8_t>(g)},
-                  mesh.abort);
-        ++w0.counters.messages;
-        ++pending;
-      }
-    }
-    for (std::uint32_t g = 0; g < d && pending > 0; ++g) {
-      const std::uint32_t bin = def.bins[g];
-      const std::uint32_t owner = topo_.shard_of(bin);
-      if (owner == s) continue;
-      const ProbeReply rp = pop_spin(mesh.rp(owner, s), mesh.abort);
-      loads[rp.slot] = rp.load;
-      --pending;
-    }
-
-    const std::uint32_t slot = decide_slot(loads.data(), d, def.aux);
-    const std::uint32_t bin = def.bins[slot];
-    const std::uint32_t owner = topo_.shard_of(bin);
-    if (owner == s) {
-      w0.state.add_ball(bin - w0.first);
-    } else {
-      push_spin(mesh.cm(s, owner), Commit{topo_.local_of(bin, owner)}, mesh.abort);
-      ++w0.counters.messages;
-    }
-  }
-  // Release the servers: the store is ordered after every ring push above,
-  // so a server that observes it and drains once more has seen everything.
-  mesh.cleanup_done.store(round + 1, std::memory_order_release);
-}
-
-void ShardedAllocator::serve_cleanup(std::uint32_t s, std::uint64_t round) {
-  Worker& w = *workers_[s];
-  Mesh& mesh = *mesh_;
-  const auto drain_commits = [&]() -> bool {
-    bool progress = false;
-    Commit cm;
-    while (mesh.cm(0, s).try_pop(cm)) {
-      w.state.add_ball(cm.bin);
-      progress = true;
-    }
-    return progress;
-  };
-  const auto serve_once = [&]() -> bool {
-    bool progress = false;
-    ProbeRequest rq;
-    while (mesh.rq(0, s).try_pop(rq)) {
-      // Worker 0 pushes an earlier ball's commit BEFORE a later ball's
-      // load request (program order, release stores), so once a request
-      // is visible every commit that sequentially precedes it is too.
-      // Draining commits here — after popping the request, before
-      // answering — is what makes the reply the exact sequential-time
-      // load; draining them only between requests would race.
-      (void)drain_commits();
-      push_spin(mesh.rp(s, 0), ProbeReply{w.state.load(rq.bin), rq.ball, rq.slot, 0},
-                mesh.abort);
-      ++w.counters.messages;
-      progress = true;
-    }
-    progress = drain_commits() || progress;
-    return progress;
-  };
-  for (;;) {
-    const bool progress = serve_once();
-    if (mesh.cleanup_done.load(std::memory_order_acquire) > round) {
-      (void)serve_once();  // final drain: nothing new can arrive
-      break;
-    }
-    if (!progress) {
-      if (mesh.abort.load(std::memory_order_relaxed)) throw Aborted{};
-      std::this_thread::yield();
+      workers_[owner]->state.add_ball(topo_.local_of(bin, owner));
+      if (owner != 0) ++counters.messages;  // commit
     }
   }
 }

@@ -2,38 +2,46 @@
 /// \file engine.hpp
 /// The sharded multi-core allocation engine: n bins partitioned across T
 /// worker threads (shard/topology.hpp), each worker owning one
-/// core::BinState plus one derived RNG substream, exchanging bounded
-/// per-round messages over lock-free SPSC rings (par/spsc_ring.hpp) — the
-/// distributed communication model of the 1-2-3-Toolkit round protocols,
-/// run at memory speed inside one process.
+/// core::BinState plus one derived RNG substream. Workers run
+/// bulk-synchronous rounds: between barriers they exchange plain
+/// per-(sender, owner) arrays, and each owner does every random access to
+/// its own bins. The 1-2-3-Toolkit's message count stays a counted
+/// quantity (ShardCounters::messages), not traffic the engine sends.
 ///
 /// ## Round protocol (T > 1)
 ///
 /// Balls are processed in synchronized rounds of at most `round_balls`
 /// balls, each round split into contiguous per-worker slices (ball order
 /// is therefore globally fixed: round-major, then worker-major, then
-/// slice index — never schedule-dependent). A round runs five phases
-/// separated by a yielding barrier (par/spin_barrier.hpp):
+/// slice index — never schedule-dependent). A round runs four phases,
+/// each ended by a yielding barrier (par/spin_barrier.hpp), then a
+/// cleanup that overlaps the next round's draw:
 ///
-///   A  draw    each worker draws its balls' d probe bins (and one
-///              tie-break word for greedy) from its own substream and
-///              routes every cross-shard probe as a ProbeRequest;
-///   B  serve   each worker answers the probes on bins it owns — in
-///              global ball order — with the *round-start* load plus a
-///              conflict verdict: a probe on a bin already probed by an
-///              earlier ball this round marks its ball `conflicted`;
-///   C  decide  each worker collects replies, and for every
-///              non-conflicted ball picks the winner (least-loaded with
-///              the pre-drawn tie-break word; leftmost for left[d]);
-///              cross-shard winners travel as Commit messages;
-///   D  apply   all main-phase commits land (loads were read before any
-///              commit applied, so every non-conflicted ball decided on
-///              exactly the loads the *sequential* process would show it
-///              — no earlier ball probed, hence committed to, its bins);
-///   E  cleanup worker 0 replays the conflicted (deferred) balls
-///              serially in global ball order against *current* loads,
-///              fetching remote loads / sending remote commits through
-///              the same rings while the other workers serve.
+///   draw     each worker draws its balls' d probe bins (and one
+///            tie-break word for greedy) from its own substream and
+///            appends every probe to the request bucket of the bin's
+///            owner as (owner-local bin, probe index);
+///   serve    each owner reads its inbound buckets sender-major — global
+///            ball order — stamping the first prober of each of its bins
+///            (round ball id + 1; 0 = none) and writing, parallel to the
+///            request, the *round-start* load plus a conflict bit: a
+///            probe on a bin an earlier ball already probed conflicts;
+///   decide   each sender scatters its replies, decides every ball with
+///            no conflict (least-loaded with the pre-drawn tie-break
+///            word; leftmost for left[d]) and buckets the winner by its
+///            owner; a conflicted ball goes to the deferred list;
+///   apply    each owner applies its own winners, then inbound winners
+///            sender-major, and zeroes the stamps this round set (loads
+///            were read before any winner applied, so every
+///            non-conflicted ball decided on exactly the loads the
+///            *sequential* process would show it — no earlier ball
+///            probed, hence committed to, its bins);
+///   cleanup  worker 0 replays the deferred balls serially, worker by
+///            worker (already global order), against *current* loads,
+///            reading and writing every shard's BinState directly. The
+///            other workers start the next draw meanwhile: it touches
+///            neither BinState nor the deferred lists, and the next serve
+///            waits behind the next draw's barrier.
 ///
 /// The conflict-deferral rule is what makes the engine *exactly*
 /// distribution-equal to the sequential streaming core (not merely
@@ -53,12 +61,12 @@
 ///
 /// ## Single-shard mode (T == 1)
 ///
-/// One worker thread drives the exact streaming loop — chunked
-/// place_batch plus finalize on the run's own engine, commands fed
-/// through an SPSC ring — so every registry rule is supported and the
-/// result is bit-for-bit identical to StreamingAllocator (all 14 golden
-/// pin families; proven in the ShardLockstep suite). `shards[1]:` is
-/// therefore a safe default anywhere the sequential core runs today.
+/// The calling thread drives the exact streaming loop — chunked
+/// place_batch plus finalize on the run's own engine — so every registry
+/// rule is supported and the result is bit-for-bit identical to
+/// StreamingAllocator (all 14 golden pin families; proven in the
+/// ShardLockstep suite). `shards[1]:` is therefore a safe default
+/// anywhere the sequential core runs today.
 
 #include <cstdint>
 #include <memory>
@@ -85,10 +93,11 @@ inline constexpr std::uint32_t kMaxShardD = 8;
 struct ShardOptions {
   std::uint32_t shards = 1;
   /// Balls in flight per synchronized round (T > 1). Clamped to
-  /// [shards, 65535 * shards] — the upper bound keeps round-local ball
-  /// ids inside the 16-bit message field. Larger rounds amortize the
-  /// barriers; the deferral rate grows as ~(round_balls * d)^2 / (2n),
-  /// so the default stays small relative to any interesting n.
+  /// [shards, 65535 * shards]; the clamp fixes the round size, so it is
+  /// part of the placement contract (a slice never exceeds 65535 balls).
+  /// Larger rounds amortize the barriers; the deferral rate grows as
+  /// ~(round_balls * d)^2 / (2n), so the default stays small relative to
+  /// any interesting n.
   std::uint32_t round_balls = 8192;
   core::StateLayout layout = core::StateLayout::kWide;
   /// Forwarded to make_rule for rules that provision on total balls
@@ -144,8 +153,14 @@ class ShardedAllocator {
   [[nodiscard]] core::AllocationResult result() const;
 
   /// Aggregated per-shard counters (messages, cross-shard probe ratio,
-  /// deferrals, ring high-water) — passive, harvested by obs after run.
+  /// deferrals, request-bucket high-water) — passive, harvested by obs
+  /// after run.
   [[nodiscard]] const ShardCounters& counters() const noexcept { return counters_; }
+  /// Per-phase wall time and barrier wait, summed over workers (T > 1;
+  /// all zero in single-shard mode).
+  [[nodiscard]] const ShardPhaseTimes& phase_times() const noexcept {
+    return phase_times_;
+  }
   /// Single-shard mode's inner rule, for CoreCounters harvesting
   /// (lookahead refills, batch-kernel waves); nullptr when T > 1.
   [[nodiscard]] const core::PlacementRule* rule() const noexcept {
@@ -161,13 +176,12 @@ class ShardedAllocator {
 
  private:
   struct Worker;
-  struct Mesh;
+  struct Sync;
 
   void run_single(std::uint64_t m, rng::Engine& gen);
   void run_sharded(std::uint64_t m, rng::Engine& gen);
   void worker_main(std::uint32_t s, std::uint64_t m);
-  void cleanup_round(std::uint32_t s, std::uint64_t round, std::uint32_t d);
-  void serve_cleanup(std::uint32_t s, std::uint64_t round);
+  void cleanup_round();
 
   /// Decision kinds the multi-shard protocol implements natively.
   enum class Kind : std::uint8_t { kOneChoice, kGreedy, kLeft };
@@ -182,11 +196,11 @@ class ShardedAllocator {
   std::string inner_name_;
   Kind kind_ = Kind::kOneChoice;
   std::uint32_t d_ = 1;
-  std::uint64_t round_total_ = 0;  ///< balls per full round (multiple of nothing,
-                                   ///< just clamped round_balls)
+  std::uint64_t round_total_ = 0;  ///< balls per full round (clamped round_balls)
   bool ran_ = false;
   std::uint64_t sync_rounds_ = 0;
   ShardCounters counters_;
+  ShardPhaseTimes phase_times_;
 
   // Single-shard mode.
   std::unique_ptr<core::PlacementRule> rule_;
@@ -194,7 +208,7 @@ class ShardedAllocator {
 
   // Multi-shard mode.
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::unique_ptr<Mesh> mesh_;
+  std::unique_ptr<Sync> sync_;
 };
 
 /// Batch Protocol wrapper so `shards[t]:spec` slots into the registry and

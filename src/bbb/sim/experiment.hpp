@@ -81,10 +81,14 @@ struct ReplicateRecord {
   /// harvested after the replicate — populated only when the experiment's
   /// obs level is counters or full; all-zero otherwise.
   obs::CoreCounters counters;
-  /// Sharded-engine counters (cross-shard probe traffic, deferrals, ring
-  /// occupancy), aggregated over the replicate's shards — populated under
-  /// the same condition, and only for `shards[t]:` specs.
+  /// Sharded-engine counters (cross-shard probe traffic, deferrals,
+  /// request-bucket high-water), aggregated over the replicate's shards —
+  /// populated under the same condition, and only for `shards[t]:` specs.
   shard::ShardCounters shard_counters;
+  /// Sharded-engine wall time per round phase and barrier wait, summed
+  /// over workers; populated under the same condition. Timings, so never
+  /// part of a record comparison.
+  shard::ShardPhaseTimes shard_phases;
   /// Replicate wall time; populated under the same condition.
   std::uint64_t wall_ns = 0;
 };

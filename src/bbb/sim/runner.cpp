@@ -96,7 +96,7 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
 /// run the multi-core engine of shard/engine.hpp directly (rather than
 /// through its opaque Protocol wrapper) so the merged incremental metrics
 /// are read off the per-shard states — no O(n) load materialization — and
-/// the shard counters (cross-shard traffic, deferrals, ring occupancy)
+/// the shard counters (cross-shard traffic, deferrals, bucket high-water)
 /// can be harvested. Results are identical to the wrapper: same derived
 /// engine, same consumption.
 ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
@@ -135,6 +135,7 @@ ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
       rec.counters.rounds = engine.sync_rounds();
     }
     rec.shard_counters = engine.counters();
+    rec.shard_phases = engine.phase_times();
     rec.wall_ns = elapsed_ns(start);
   }
   return rec;
@@ -284,14 +285,17 @@ RunSummary run_experiment(const ExperimentConfig& config, par::ThreadPool& pool)
     obs::MetricsRegistry registry;
     obs::CoreCounters total;
     shard::ShardCounters shard_total;
+    shard::ShardPhaseTimes phase_total;
     obs::LatencyHistogram& wall = registry.histogram("sim.replicate.wall_ns");
     for (const ReplicateRecord& rec : summary.records) {
       total.accumulate(rec.counters);
       shard_total += rec.shard_counters;
+      phase_total += rec.shard_phases;
       wall.record(rec.wall_ns);
     }
     obs::fold_into(registry, total);
     obs::fold_into(registry, shard_total);
+    obs::fold_into(registry, phase_total);
     registry.set_gauge("sim.fold.wall_ns", static_cast<double>(fold_ns));
     summary.obs = registry.snapshot();
 

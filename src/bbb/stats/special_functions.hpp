@@ -27,7 +27,7 @@ namespace bbb::stats {
 /// Standard normal upper tail P(Z >= z).
 [[nodiscard]] double normal_sf(double z);
 
-/// ln(k!) via lgamma.
+/// ln(k!) via rng::log_gamma.
 [[nodiscard]] double log_factorial(std::uint64_t k);
 
 /// Kolmogorov survival function Q(lambda) = 2 sum_{k>=1} (-1)^{k-1}

@@ -23,9 +23,10 @@ namespace {
 /// each tier twice, off vs full, and compare the raw records exactly
 /// (EXPECT_EQ on doubles — not NEAR; identical means identical).
 
-sim::RunSummary run_sim(core::StateLayout layout, obs::ObsLevel level) {
+sim::RunSummary run_sim(core::StateLayout layout, obs::ObsLevel level,
+                        const std::string& spec = "greedy[2]") {
   sim::ExperimentConfig cfg;
-  cfg.protocol_spec = "greedy[2]";
+  cfg.protocol_spec = spec;
   cfg.m = 20'000;
   cfg.n = 2'048;
   cfg.replicates = 3;
@@ -57,6 +58,23 @@ TEST(ObsIntegration, SimWidePlacementsBitForBitOffVsFull) {
 TEST(ObsIntegration, SimCompactPlacementsBitForBitOffVsFull) {
   expect_identical(run_sim(core::StateLayout::kCompact, obs::ObsLevel::kOff),
                    run_sim(core::StateLayout::kCompact, obs::ObsLevel::kFull));
+}
+
+TEST(ObsIntegration, ShardedPlacementsBitForBitOffVsFull) {
+  // The multi-shard engine times its phases on every run; the obs level
+  // only decides whether the timings are folded. Placements never move.
+  const std::string spec = "shards[4]:greedy[2]";
+  const auto compact = core::StateLayout::kCompact;
+  const sim::RunSummary off = run_sim(compact, obs::ObsLevel::kOff, spec);
+  const sim::RunSummary full = run_sim(compact, obs::ObsLevel::kFull, spec);
+  expect_identical(off, full);
+  for (const char* key :
+       {"shard.phase.draw.ns", "shard.phase.serve.ns", "shard.phase.decide.ns",
+        "shard.phase.apply.ns", "shard.phase.cleanup.ns", "shard.barrier.wait_ns"}) {
+    EXPECT_EQ(off.obs.find(key), nullptr) << key;
+    EXPECT_NE(full.obs.find(key), nullptr) << key;
+  }
+  EXPECT_GT(full.obs.counter_value("shard.phase.draw.ns"), 0u);
 }
 
 TEST(ObsIntegration, DynReplicatesBitForBitOffVsFull) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/registry.hpp"
@@ -76,6 +78,34 @@ TEST(DoublingThreshold, ExplicitInitialGuessHonored) {
   DoublingThresholdRule rule(10, 100);
   EXPECT_EQ(rule.guess(), 100u);
   EXPECT_EQ(rule.accept_bound(), 10u);
+}
+
+TEST(DoublingThreshold, HugeGuessSaturatesInsteadOfTruncating) {
+  // ceil(guess/n) >= 2^32: a uint32 truncation gives a bound of 0, so the
+  // run spins forever once every bin holds a ball.
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  for (const std::uint64_t guess : {kMax64, std::uint64_t{1} << 63}) {
+    DoublingThresholdRule rule(32, guess);
+    EXPECT_EQ(rule.accept_bound(), kMax32) << guess;
+    rng::Engine gen(3);
+    const std::string spec = "doubling-threshold[" + std::to_string(guess) + "]";
+    const AllocationResult res = make_protocol(spec)->run(60, 32, gen);
+    EXPECT_EQ(res.balls, 60u) << guess;
+    EXPECT_EQ(res.probes, 60u) << guess;  // every bin qualifies, one probe per ball
+  }
+  EXPECT_EQ(DoublingThresholdRule::bound_for(kMax64, 1), kMax32);
+  EXPECT_EQ(DoublingThresholdRule::bound_for(std::uint64_t{kMax32} + 1, 2), 2147483648u);
+}
+
+TEST(DoublingThreshold, DoublingSaturatesInsteadOfWrapping) {
+  // guess *= 2 past 2^63 wraps to 0, after which the doubling loop never
+  // exits. The saturated doubling stops at UINT64_MAX.
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(DoublingThresholdRule::doubled(3), 6u);
+  EXPECT_EQ(DoublingThresholdRule::doubled(kMax64 / 2), kMax64 - 1);
+  EXPECT_EQ(DoublingThresholdRule::doubled(std::uint64_t{1} << 63), kMax64);
+  EXPECT_EQ(DoublingThresholdRule::doubled(kMax64), kMax64);
 }
 
 TEST(DoublingThreshold, RegistryRoundTrip) {

@@ -10,6 +10,16 @@
 namespace bbb::rng {
 namespace {
 
+// ------------------------------------------------------------------ log-gamma
+
+TEST(LogGamma, MatchesStdLgammaBitForBit) {
+  // The reentrant helper replaces std::lgamma everywhere; every pinned
+  // value that goes through it must stay exactly where it was.
+  for (const double x : {0.5, 1.0, 1.5, 2.0, 3.25, 10.0, 101.0, 1e6 + 0.5, 4.5e15}) {
+    EXPECT_EQ(log_gamma(x), std::lgamma(x)) << x;
+  }
+}
+
 // ----------------------------------------------------------------- validation
 
 TEST(DistValidation, ExponentialRejectsBadRate) {

@@ -324,6 +324,13 @@ TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
       {RKind::kLeft, 2, "left[2]", 50, 2, 32, 3'333},
       {RKind::kLeft, 4, "left[4]", 120, 6, 48, 4'999},
       {RKind::kGreedy, 2, "greedy[2]", 64, 2, 1u << 20, 1'000},  // clamped round
+      {RKind::kGreedy, 2, "greedy[2]", 8, 8, 64, 2'001},       // t = n: one bin each
+      {RKind::kOneChoice, 1, "one-choice", 5, 5, 16, 777},     // t = n, one-choice
+      {RKind::kGreedy, 2, "greedy[2]", 1'000, 8, 512, 20'001}, // t = 8 on fewer cores
+      {RKind::kLeft, 2, "left[2]", 4'096, 3, 65535u * 3, 400'000},  // at the clamp
+      {RKind::kGreedy, 8, "greedy[8]", 4, 2, 32, 1'000},  // d > n: repeated bins
+      {RKind::kGreedy, 2, "greedy[2]", 64, 5, 5, 3},      // m < t: empty slices
+      {RKind::kLeft, 2, "left[2]", 64, 4, 64, 1},         // a single ball
   };
   int index = 0;
   for (const ReplayCase& c : cases) {

@@ -1,192 +1,25 @@
-/// Concurrency stress for the sharded engine's primitives and the engine
+/// Concurrency stress for the sharded engine's barrier and the engine
 /// itself — the `tsan` ctest label (tests/CMakeLists.txt): fast enough
 /// for tier-1, but written for the BBB_TSAN=ON build where the race
-/// detector certifies the release/acquire publication contracts of
-/// par::SpscRing and par::SpinBarrier and the phase discipline of
-/// shard::ShardedAllocator. Every test is deterministic in its
-/// ASSERTIONS (values, counts, FIFO order); only the interleavings vary.
+/// detector certifies the release/acquire publication contract of
+/// par::SpinBarrier and the phase discipline of shard::ShardedAllocator
+/// (one writer per array between barriers; worker 0's cleanup running
+/// beside the other workers' next draw). Every test is deterministic in
+/// its ASSERTIONS (values, counts); only the interleavings vary.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bbb/par/spin_barrier.hpp"
-#include "bbb/par/spsc_ring.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
 
 namespace bbb::shard {
 namespace {
-
-TEST(ShardStress, RingSingleProducerSingleConsumer) {
-  // One producer, one consumer, a deliberately tiny ring so both sides
-  // spin across full/empty transitions constantly. The consumer checks
-  // strict FIFO of the whole sequence.
-  constexpr std::uint64_t kCount = 1u << 18;
-  par::SpscRing<std::uint64_t> ring(8);
-  std::uint64_t bad = 0;
-
-  std::thread consumer([&] {
-    std::uint64_t expected = 0;
-    while (expected < kCount) {
-      std::uint64_t v = 0;
-      if (!ring.try_pop(v)) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (v != expected) ++bad;
-      ++expected;
-    }
-  });
-  for (std::uint64_t v = 0; v < kCount; ++v) {
-    while (!ring.try_push(std::uint64_t{v})) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_EQ(bad, 0u);
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(ShardStress, RingBatchedProducerScalarConsumer) {
-  // push_some under contention against a scalar consumer: the batched
-  // publication (one release store for the whole batch) must still hand
-  // the consumer a gap-free FIFO sequence.
-  constexpr std::uint64_t kCount = 1u << 17;
-  par::SpscRing<std::uint64_t> ring(32);
-  std::uint64_t bad = 0;
-
-  std::thread consumer([&] {
-    std::uint64_t expected = 0;
-    while (expected < kCount) {
-      std::uint64_t v = 0;
-      if (!ring.try_pop(v)) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (v != expected) ++bad;
-      ++expected;
-    }
-  });
-  std::uint64_t next = 0;
-  std::uint64_t batch[24];
-  while (next < kCount) {
-    std::size_t k = 0;
-    while (k < 24 && next + k < kCount) {
-      batch[k] = next + k;
-      ++k;
-    }
-    const std::size_t pushed = ring.push_some(batch, k);
-    next += pushed;
-    if (pushed == 0) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_EQ(bad, 0u);
-}
-
-TEST(ShardStress, RingMeshEightProducers) {
-  // Eight producers, each with a PRIVATE ring to one consumer — the
-  // engine's mesh shape, where the single-producer/single-consumer
-  // promise holds per ring. The consumer drains all eight concurrently
-  // and checks per-ring FIFO plus total conservation.
-  constexpr std::uint32_t kProducers = 8;
-  constexpr std::uint64_t kPer = 1u << 14;
-  std::vector<std::unique_ptr<par::SpscRing<std::uint64_t>>> rings;
-  for (std::uint32_t p = 0; p < kProducers; ++p) {
-    rings.push_back(std::make_unique<par::SpscRing<std::uint64_t>>(16));
-  }
-
-  std::uint64_t bad = 0;
-  std::uint64_t received = 0;
-  std::thread consumer([&] {
-    std::vector<std::uint64_t> expected(kProducers, 0);
-    while (received < kProducers * kPer) {
-      bool progress = false;
-      for (std::uint32_t p = 0; p < kProducers; ++p) {
-        std::uint64_t v = 0;
-        while (rings[p]->try_pop(v)) {
-          // Producer p sends p * kPer + i in order i = 0, 1, ...
-          if (v != p * kPer + expected[p]) ++bad;
-          ++expected[p];
-          ++received;
-          progress = true;
-        }
-      }
-      if (!progress) std::this_thread::yield();
-    }
-  });
-  std::vector<std::thread> producers;
-  for (std::uint32_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPer; ++i) {
-        while (!rings[p]->try_push(std::uint64_t{p * kPer + i})) {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(bad, 0u);
-  EXPECT_EQ(received, kProducers * kPer);
-}
-
-/// Move-only payload counting live instances via an atomic (the churn
-/// test destroys rings from the main thread after joining workers, so the
-/// counter is read across threads).
-struct Tracked {
-  std::atomic<int>* live = nullptr;
-  Tracked() = default;
-  explicit Tracked(std::atomic<int>* l) : live(l) {
-    if (live != nullptr) live->fetch_add(1, std::memory_order_relaxed);
-  }
-  Tracked(Tracked&& o) noexcept : live(std::exchange(o.live, nullptr)) {}
-  Tracked& operator=(Tracked&& o) noexcept {
-    if (live != nullptr) live->fetch_sub(1, std::memory_order_relaxed);
-    live = std::exchange(o.live, nullptr);
-    return *this;
-  }
-  Tracked(const Tracked&) = delete;
-  Tracked& operator=(const Tracked&) = delete;
-  ~Tracked() {
-    if (live != nullptr) live->fetch_sub(1, std::memory_order_relaxed);
-  }
-};
-
-TEST(ShardStress, RingLifetimeChurnDrainsOnDestruction) {
-  // Repeatedly build a ring, push payloads from a producer thread while a
-  // consumer pops only some of them, join both sides, then destroy the
-  // ring with messages still in flight. The destructor drain must bring
-  // the live-payload count back to zero every generation.
-  std::atomic<int> live{0};
-  for (int gen = 0; gen < 64; ++gen) {
-    {
-      par::SpscRing<Tracked> ring(8);
-      const int to_send = 16 + gen % 17;
-      // Leave 0..capacity payloads in flight — never more, or the
-      // producer could not finish pushing once the consumer is done.
-      const int to_recv = to_send - gen % 9;
-      std::thread producer([&] {
-        for (int i = 0; i < to_send; ++i) {
-          while (!ring.try_push(Tracked(&live))) std::this_thread::yield();
-        }
-      });
-      std::thread consumer([&] {
-        for (int i = 0; i < to_recv; ++i) {
-          Tracked out;
-          while (!ring.try_pop(out)) std::this_thread::yield();
-        }
-      });
-      producer.join();
-      consumer.join();
-      EXPECT_EQ(live.load(), to_send - to_recv) << "generation " << gen;
-    }
-    ASSERT_EQ(live.load(), 0) << "generation " << gen;
-  }
-}
 
 TEST(ShardStress, BarrierSynchronizesManyGenerations) {
   // Classic barrier torture: every thread increments its slot exactly
@@ -258,9 +91,37 @@ TEST(ShardStress, EngineRepeatedRunsAreRaceFreeAndDeterministic) {
   }
 }
 
+TEST(ShardStress, CleanupOverlapsNextDrawInConflictSaturatedRounds) {
+  // n = 16 bins against rounds of 64 balls: nearly every ball conflicts,
+  // so worker 0's cleanup replay is long and runs beside the other
+  // workers' next draw in every round. Loads must be identical on every
+  // repetition, balls conserved, and the deferral path must carry most
+  // of the traffic.
+  for (const char* spec : {"greedy[2]", "left[4]"}) {
+    SCOPED_TRACE(spec);
+    std::vector<std::uint32_t> reference;
+    for (int iteration = 0; iteration < 6; ++iteration) {
+      ShardOptions opt;
+      opt.shards = 4;
+      opt.round_balls = 64;
+      ShardedAllocator engine(spec, 16, opt);
+      rng::Engine gen = rng::SeedSequence(77).engine(0);
+      engine.run(12'000, gen);
+      ASSERT_EQ(engine.balls(), 12'000u) << "iteration " << iteration;
+      EXPECT_GT(engine.counters().deferred_balls * 2, engine.counters().balls);
+      const std::vector<std::uint32_t> loads = engine.copy_loads();
+      if (iteration == 0) {
+        reference = loads;
+      } else {
+        ASSERT_EQ(loads, reference) << "iteration " << iteration;
+      }
+    }
+  }
+}
+
 TEST(ShardStress, EngineSingleShardStreamUnderChurn) {
-  // The T == 1 command ring (chunked place_batch worker) run repeatedly;
-  // exercises the producer/worker handshake and sentinel shutdown.
+  // The T == 1 chunked place_batch stream on the calling thread, run
+  // repeatedly: every run gives the same loads.
   std::vector<std::uint32_t> reference;
   for (int iteration = 0; iteration < 4; ++iteration) {
     ShardOptions opt;
@@ -268,7 +129,7 @@ TEST(ShardStress, EngineSingleShardStreamUnderChurn) {
     opt.m_hint = 70'000;
     ShardedAllocator engine("greedy[2]", 1'024, opt);
     rng::Engine gen = rng::SeedSequence(99).engine(0);
-    engine.run(70'000, gen);  // > one 64Ki chunk, so the ring carries several
+    engine.run(70'000, gen);  // > one 64Ki chunk
     ASSERT_EQ(engine.balls(), 70'000u);
     const std::vector<std::uint32_t> loads = engine.copy_loads();
     if (iteration == 0) {
