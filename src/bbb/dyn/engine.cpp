@@ -1,9 +1,10 @@
 #include "bbb/dyn/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <deque>
 #include <stdexcept>
 
+#include "bbb/dyn/ball_registry.hpp"
 #include "bbb/obs/trace_sink.hpp"
 #include "bbb/par/parallel_for.hpp"
 #include "bbb/rng/streams.hpp"
@@ -18,33 +19,90 @@ namespace {
                                         .count());
 }
 
-/// Live balls in arrival order: O(1) push, O(1) uniform victim (swap with
-/// the back), O(1) oldest victim (pop the front). Only maintained for
-/// ball-selecting workloads; supermarket departures sample a nonempty bin
-/// from the allocator state instead.
-class BallRegistry {
+/// Reject configs before any allocation: a tail_max near UINT32_MAX would
+/// otherwise size the per-level arrays at tens of GiB per replicate.
+void check_config(const DynConfig& config) {
+  if (config.events == 0) {
+    throw std::invalid_argument("run_dynamic: events must be positive");
+  }
+  if (config.tail_max > DynConfig::kMaxTail) {
+    throw std::invalid_argument("run_dynamic: tail_max " +
+                                std::to_string(config.tail_max) + " exceeds the cap " +
+                                std::to_string(DynConfig::kMaxTail));
+  }
+}
+
+/// Time integrals of count(load >= k) for k <= tail_max. An event moves
+/// one bin across the level boundaries between its old and new load, so
+/// only those counts change; a count is integrated (area += count x time
+/// held) only when it changes, and once more when the window closes —
+/// O(levels crossed) per event instead of O(tail_max).
+class LevelTails {
  public:
-  void push(std::uint32_t bin) { live_.push_back(bin); }
+  explicit LevelTails(std::uint32_t tail_max)
+      : levels_(static_cast<std::size_t>(tail_max) + 1) {}
 
-  std::uint32_t pop_uniform(rng::Engine& gen) {
-    const auto idx =
-        static_cast<std::size_t>(rng::uniform_below(gen, live_.size()));
-    const std::uint32_t bin = live_[idx];
-    live_[idx] = live_.back();
-    live_.pop_back();
-    return bin;
+  /// Open the window at time t: zero areas, counts from `state`.
+  void start(const BinState& state, double t) {
+    for (Level& level : levels_) level = Level{0, 0.0, t};
+    recount(state, t);
   }
 
-  std::uint32_t pop_oldest() {
-    const std::uint32_t bin = live_.front();
-    live_.pop_front();
-    return bin;
+  /// Re-derive every count from the level histogram (count(load >= k) =
+  /// n - count(load < k)). O(tail_max): the path for rules whose
+  /// placements move balls other than the one placed (cuckoo).
+  void recount(const BinState& state, double t) {
+    const auto& counts = state.level_counts();
+    std::uint64_t below = 0;
+    for (std::size_t k = 0; k < levels_.size(); ++k) {
+      const std::uint64_t at_least = state.n() - below;
+      if (at_least != levels_[k].count) shift(k, at_least, t);
+      if (k < counts.size()) below += counts[k];
+    }
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return live_.size(); }
+  /// One bin went from `old_load` up to `new_load` at time t.
+  void grew(std::uint32_t old_load, std::uint32_t new_load, double t) {
+    const std::size_t top = std::min<std::size_t>(new_load, levels_.size() - 1);
+    for (std::size_t k = std::size_t{old_load} + 1; k <= top; ++k) {
+      shift(k, levels_[k].count + 1, t);
+    }
+  }
+
+  /// One unit left a bin that held `old_load` at time t.
+  void shrank(std::uint32_t old_load, double t) {
+    if (old_load < levels_.size()) shift(old_load, levels_[old_load].count - 1, t);
+  }
+
+  /// Close the window [t_start, t_end]: tail[k] = area_k / (n x window).
+  /// tail[0] is exactly 1: its area is the single product n x window.
+  [[nodiscard]] std::vector<double> close(double t_end, double window,
+                                          std::uint32_t n) const {
+    const double denom = static_cast<double>(n) * window;
+    std::vector<double> tail(levels_.size());
+    for (std::size_t k = 0; k < levels_.size(); ++k) {
+      const Level& level = levels_[k];
+      tail[k] = (level.area + static_cast<double>(level.count) * (t_end - level.since)) /
+                denom;
+    }
+    return tail;
+  }
 
  private:
-  std::deque<std::uint32_t> live_;
+  struct Level {
+    std::uint64_t count;  ///< bins with load >= k right now
+    double area;          ///< integral of count over [t_start, since]
+    double since;         ///< time count last changed
+  };
+
+  void shift(std::size_t k, std::uint64_t count, double t) {
+    Level& level = levels_[k];
+    level.area += static_cast<double>(level.count) * (t - level.since);
+    level.since = t;
+    level.count = count;
+  }
+
+  std::vector<Level> levels_;
 };
 
 }  // namespace
@@ -67,9 +125,7 @@ double DynSummary::psi_per_bin() const {
 
 DynReplicate run_dynamic_replicate(const DynConfig& config,
                                    std::uint32_t replicate_index) {
-  if (config.events == 0) {
-    throw std::invalid_argument("run_dynamic: events must be positive");
-  }
+  check_config(config);
   const auto alloc = make_streaming_allocator(config.allocator_spec, config.n,
                                               config.m_hint, config.layout);
   const auto workload = make_workload(config.workload_spec, config.n);
@@ -78,9 +134,9 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
   // Eviction-based rules (cuckoo) relocate balls after placement, so a
   // recorded ball->bin assignment goes stale; fall back to bin-occupancy
   // victims for them regardless of what the workload asks for.
-  const DepartSelect select = alloc->rule().stable_ball_identity()
-                                  ? workload->depart_select()
-                                  : DepartSelect::kUniformNonemptyBin;
+  const bool stable_balls = alloc->rule().stable_ball_identity();
+  const DepartSelect select =
+      stable_balls ? workload->depart_select() : DepartSelect::kUniformNonemptyBin;
   if (select == DepartSelect::kUniformNonemptyBin &&
       config.layout != core::StateLayout::kWide) {
     // Fail at config time, not mid-replicate: serving a uniformly random
@@ -106,18 +162,24 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
   const bool atomic_weights =
       workload->atomic_arrivals() && alloc->rule().supports_weights();
   BallRegistry registry;
+  const BinState& state = alloc->state();
 
   DynReplicate rep;
-  rep.tail.assign(static_cast<std::size_t>(config.tail_max) + 1, 0.0);
   const std::uint64_t stride = config.stride == 0 ? config.events : config.stride;
   rep.snapshots.reserve(static_cast<std::size_t>(config.events / stride) + 1);
 
+  // The measured window opens after event `warmup` (at t_start) and closes
+  // at the last event's time. Scalars accumulate weight x value per event,
+  // where weight is how long the previous state was held; Ψ = S2 - t²/n is
+  // accumulated as its exact parts and divided once at the end. The tails
+  // are integrated at level crossings by LevelTails.
   std::uint64_t probes_at_start = 0;
   std::uint64_t placed_at_start = 0;
-  std::vector<double> tail_sum(rep.tail.size(), 0.0);
-  double balls_sum = 0.0, psi_sum = 0.0, gap_sum = 0.0, max_sum = 0.0;
-  double weight_sum = 0.0;
+  LevelTails tails(config.tail_max);
+  double balls_sum = 0.0, s2_sum = 0.0, t2_sum = 0.0, gap_sum = 0.0, max_sum = 0.0;
+  double t_start = 0.0;
   double prev_time = 0.0;
+  if (config.warmup == 0) tails.start(state, t_start);
 
   // Per-event timing only at obs level full: dyn events are microsecond-
   // scale (registry + metric bookkeeping per event), so two extra clock
@@ -132,8 +194,9 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
 
   const std::uint64_t total_events = config.warmup + config.events;
   for (std::uint64_t e = 1; e <= total_events; ++e) {
-    const WorkloadContext ctx{alloc->state().balls(), alloc->state().nonempty_bins()};
+    const WorkloadContext ctx{state.balls(), state.nonempty_bins()};
     const DynEvent ev = workload->next(gen, ctx);
+    const bool measured = e > config.warmup;
 
     // Time-weighted steady-state averages: the state produced by event
     // e - 1 was held for ev.time - prev_time. Event-counting averages would
@@ -142,44 +205,48 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
     // event rate grows with occupancy); weighting by the holding time
     // recovers the time-stationary quantities the fixed-point predictions
     // describe.
-    if (e > config.warmup) {
+    if (measured) {
       const double weight = ev.time - prev_time;
-      weight_sum += weight;
-      const BinState& state = alloc->state();
-      balls_sum += weight * static_cast<double>(state.balls());
-      psi_sum += weight * state.psi();
+      const auto balls = static_cast<double>(state.balls());
+      balls_sum += weight * balls;
+      s2_sum += weight * static_cast<double>(state.sum_squares());
+      t2_sum += weight * (balls * balls);
       gap_sum += weight * static_cast<double>(state.gap());
       max_sum += weight * static_cast<double>(state.max_load());
       if (state.max_load() > rep.peak_max) rep.peak_max = state.max_load();
-      const auto& levels = state.level_counts();
-      // count(load >= k) = n - count(load < k): one prefix sum over the
-      // first tail_max levels, O(tail_max) per event regardless of how
-      // high the loads have ever been.
-      std::uint64_t below = 0;
-      for (std::size_t k = 0; k < tail_sum.size(); ++k) {
-        tail_sum[k] += weight * static_cast<double>(config.n - below) /
-                       static_cast<double>(config.n);
-        if (k < levels.size()) below += levels[k];
-      }
     }
     prev_time = ev.time;
+    // Stable-identity rules change exactly the bin they return, by the
+    // weight placed or removed; the rest re-derive the tails below. The
+    // tail updates sit outside the timed place/remove calls.
+    const bool crossings = measured && stable_balls;
+    const auto grew = [&](std::uint32_t bin, std::uint32_t weight) {
+      const std::uint32_t load = state.load(bin);
+      tails.grew(load - weight, load, ev.time);
+    };
 
     if (ev.kind == EventKind::kArrival) {
       const auto place_start = timing ? std::chrono::steady_clock::now()
                                       : std::chrono::steady_clock::time_point{};
+      std::uint32_t bin = 0;
+      std::uint32_t last_weight = ev.weight;
       if (atomic_weights && ev.weight > 1) {
-        const std::uint32_t bin = alloc->place_weighted(ev.weight, gen);
+        bin = alloc->place_weighted(ev.weight, gen);
         // Departures are still per unit ball: register each chain link.
         if (track_balls) {
           for (std::uint32_t w = 0; w < ev.weight; ++w) registry.push(bin);
         }
       } else {
+        last_weight = std::min<std::uint32_t>(ev.weight, 1);  // 0: nothing placed
         for (std::uint32_t w = 0; w < ev.weight; ++w) {
-          const std::uint32_t bin = alloc->place(gen);
+          // A unit's crossings are taken before the next unit moves a load.
+          if (crossings && w > 0) grew(bin, 1);
+          bin = alloc->place(gen);
           if (track_balls) registry.push(bin);
         }
       }
       if (timing) rep.place_ns.record(elapsed_ns(place_start));
+      if (crossings) grew(bin, last_weight);
     } else if (ctx.balls > 0) {
       const auto remove_start = timing ? std::chrono::steady_clock::now()
                                        : std::chrono::steady_clock::time_point{};
@@ -192,11 +259,13 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
           bin = registry.pop_oldest();
           break;
         case DepartSelect::kUniformNonemptyBin:
-          bin = alloc->state().sample_nonempty(gen);
+          bin = state.sample_nonempty(gen);
           break;
       }
+      const std::uint32_t load = state.load(bin);
       alloc->remove(bin);
       if (timing) rep.remove_ns.record(elapsed_ns(remove_start));
+      if (crossings) tails.shrank(load, ev.time);
     } else {
       // The shipped generators never emit a departure when the system is
       // empty (that clock has rate zero); count instead of silently
@@ -204,11 +273,11 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
       // still advanced the clock and consumed a measured slot.
       ++rep.dropped_departures;
     }
+    if (measured && !stable_balls) tails.recount(state, ev.time);
 
     if (heartbeats && (e & 0xFFF) == 0 && heartbeat.due()) {
       // Wall-clock progress signal for long churn runs (warmup included —
       // that is exactly when a giant run looks hung). Observational only.
-      const BinState& state = alloc->state();
       obs::JsonLine line("heartbeat", "dyn");
       line.field("replicate", static_cast<std::uint64_t>(replicate_index))
           .field("done", e)
@@ -221,35 +290,36 @@ DynReplicate run_dynamic_replicate(const DynConfig& config,
     if (e == config.warmup) {
       probes_at_start = alloc->probes();
       placed_at_start = alloc->total_placed();
+      t_start = ev.time;
+      tails.start(state, t_start);
     }
-    if (e <= config.warmup) continue;
+    if (!measured) continue;
 
-    const BinState& state = alloc->state();
-    const std::uint64_t measured = e - config.warmup;
-    if (measured % stride == 0 || measured == config.events) {
+    const std::uint64_t done = e - config.warmup;
+    if (done % stride == 0 || done == config.events) {
       DynSnapshot snap;
       snap.time = ev.time;
-      snap.events = measured;
+      snap.events = done;
       snap.balls = state.balls();
       snap.probes = alloc->probes();
       snap.max_load = state.max_load();
       snap.min_load = state.min_load();
       snap.psi = state.psi();
       snap.log_phi = state.log_phi();
-      if (rep.snapshots.empty() || rep.snapshots.back().events != measured) {
+      if (rep.snapshots.empty() || rep.snapshots.back().events != done) {
         rep.snapshots.push_back(snap);
       }
     }
   }
 
   // Workload clocks strictly increase, so the measured window has positive
-  // total weight whenever events >= 1.
-  const double window = weight_sum;
+  // length whenever events >= 1.
+  const double window = prev_time - t_start;
   rep.mean_balls = balls_sum / window;
-  rep.mean_psi = psi_sum / window;
+  rep.mean_psi = (s2_sum - t2_sum / static_cast<double>(state.n())) / window;
   rep.mean_gap = gap_sum / window;
   rep.mean_max = max_sum / window;
-  for (std::size_t k = 0; k < rep.tail.size(); ++k) rep.tail[k] = tail_sum[k] / window;
+  rep.tail = tails.close(prev_time, window, state.n());
   const std::uint64_t placed = alloc->total_placed() - placed_at_start;
   rep.probes_per_ball =
       placed > 0
@@ -267,9 +337,7 @@ DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool) {
   if (config.replicates == 0) {
     throw std::invalid_argument("run_dynamic: replicates must be positive");
   }
-  if (config.events == 0) {
-    throw std::invalid_argument("run_dynamic: events must be positive");
-  }
+  check_config(config);
   // Validate both specs (and capture canonical names) before spawning work.
   const std::string alloc_name =
       make_streaming_allocator(config.allocator_spec, config.n, config.m_hint,

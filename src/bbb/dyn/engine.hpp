@@ -7,14 +7,23 @@
 ///
 /// Measurement model: the first `warmup` events burn in (the supermarket
 /// model needs to fill to its stationary occupancy), the next `events`
-/// events are measured. Steady-state scalars are *time-weighted* averages
-/// over the measured window — each visited state is weighted by the
-/// holding time until the next event, not counted once per event, because
-/// the embedded jump chain over-weights high-occupancy states when the
-/// total event rate grows with occupancy. `tail[k]` is the time-average
-/// fraction of bins with load >= k — the quantity the Luczak–McDiarmid
-/// fixed point predicts. Snapshots every `stride` measured events feed
-/// trajectory plots the way sim/trace does for batch runs.
+/// events are measured. The measured window runs from the time of event
+/// `warmup` (0 without warm-up) to the time of the last event; its length
+/// is t_last - t_start. Steady-state scalars are *time-weighted* averages
+/// over it — each visited state is weighted by the holding time until the
+/// next event, not counted once per event, because the embedded jump chain
+/// over-weights high-occupancy states when the total event rate grows with
+/// occupancy. Ψ is averaged through its exact parts S2 = sum l_i^2 and t²
+/// (one division at the end). `tail[k]` is the time-average fraction of
+/// bins with load >= k — the quantity the Luczak–McDiarmid fixed point
+/// predicts. It is integrated at level crossings: an event moves one bin
+/// across the levels between its old and new load, so only those counts
+/// change, and each count's area grows only when it changes (O(levels
+/// crossed) per event, not O(tail_max)). Rules that relocate other balls
+/// while placing (cuckoo) re-derive the counts from the level histogram
+/// after every event instead. tail[0] is exactly 1. Snapshots every
+/// `stride` measured events feed trajectory plots the way sim/trace does
+/// for batch runs.
 ///
 /// Determinism contract (mirrors sim/runner): replicate r of a config with
 /// master seed s uses engine rng::SeedSequence(s).engine(r) for the
@@ -57,6 +66,9 @@ struct DynConfig {
   std::uint64_t events = 65'536;  ///< measured events
   std::uint64_t stride = 1'024;   ///< measured events between snapshots
   std::uint32_t tail_max = 12;    ///< track frac(load >= k) for k <= tail_max
+  /// Largest accepted tail_max: far above any steady-state load, and it
+  /// keeps the per-level arrays at a few MiB per replicate.
+  static constexpr std::uint32_t kMaxTail = 65'536;
   std::uint32_t replicates = 8;
   std::uint64_t seed = 42;
   /// Observability settings. `counters` harvests the core's passive
@@ -137,12 +149,14 @@ struct DynSummary {
 };
 
 /// Execute one replicate (exposed for tests and custom aggregation).
+/// \throws std::invalid_argument for bad config (unknown specs, n == 0,
+///         events == 0, tail_max > DynConfig::kMaxTail).
 [[nodiscard]] DynReplicate run_dynamic_replicate(const DynConfig& config,
                                                  std::uint32_t replicate_index);
 
 /// Run all replicates on `pool` and aggregate (fold in replicate order).
 /// \throws std::invalid_argument for bad config (unknown specs, n == 0,
-///         replicates == 0, events == 0).
+///         replicates == 0, events == 0, tail_max > DynConfig::kMaxTail).
 [[nodiscard]] DynSummary run_dynamic(const DynConfig& config, par::ThreadPool& pool);
 
 /// Convenience overload owning a transient pool (hardware concurrency).

@@ -1,6 +1,7 @@
 #include "bbb/io/argparse.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -93,6 +94,16 @@ std::uint64_t ArgParser::get_u64(const std::string& key) const {
   const Flag& f = find(key);
   if (f.kind != Kind::kU64) throw std::invalid_argument("--" + key + " is not integer");
   return std::stoull(f.value);
+}
+
+std::uint32_t ArgParser::get_u32(const std::string& key) const {
+  const std::uint64_t value = get_u64(key);
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("flag --" + key + ": value '" + find(key).value +
+                                "' exceeds the 32-bit maximum " +
+                                std::to_string(std::numeric_limits<std::uint32_t>::max()));
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 double ArgParser::get_double(const std::string& key) const {

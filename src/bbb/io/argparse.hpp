@@ -31,6 +31,10 @@ class ArgParser {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::uint64_t get_u64(const std::string& key) const;
+  /// get_u64 for 32-bit quantities (bin counts, replicates, tail depth).
+  /// \throws std::invalid_argument naming the flag and its value when the
+  ///         value exceeds UINT32_MAX, instead of truncating it.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& key) const;
   [[nodiscard]] double get_double(const std::string& key) const;
   [[nodiscard]] const std::string& get_string(const std::string& key) const;
 

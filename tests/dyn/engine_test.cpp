@@ -248,6 +248,24 @@ TEST(Engine, InvalidConfigsThrow) {
   cfg = small_config();
   cfg.workload_spec = "nope";
   EXPECT_THROW((void)run_dynamic(cfg), std::invalid_argument);
+  // tail_max is capped before anything is sized from it: near UINT32_MAX
+  // the per-level arrays would need tens of GiB per replicate.
+  cfg = small_config();
+  cfg.tail_max = DynConfig::kMaxTail + 1;
+  EXPECT_THROW((void)run_dynamic(cfg), std::invalid_argument);
+  EXPECT_THROW((void)run_dynamic_replicate(cfg, 0), std::invalid_argument);
+  cfg.tail_max = 4'294'967'295u;
+  EXPECT_THROW((void)run_dynamic(cfg), std::invalid_argument);
+  EXPECT_THROW((void)run_dynamic_replicate(cfg, 0), std::invalid_argument);
+  cfg.events = 0;
+  EXPECT_THROW((void)run_dynamic_replicate(cfg, 0), std::invalid_argument);
+  cfg = small_config();
+  cfg.tail_max = DynConfig::kMaxTail;
+  cfg.replicates = 1;
+  const DynSummary s = run_dynamic(cfg);
+  ASSERT_EQ(s.tail.size(), std::size_t{DynConfig::kMaxTail} + 1);
+  EXPECT_EQ(s.tail[0].mean(), 1.0);
+  EXPECT_EQ(s.tail[DynConfig::kMaxTail].mean(), 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace bbb::io {
 namespace {
 
@@ -95,6 +98,41 @@ TEST(ArgParser, TypeMismatchThrows) {
   EXPECT_THROW((void)p.get_string("n"), std::invalid_argument);
   // get_double on an integer flag is allowed (widening).
   EXPECT_DOUBLE_EQ(p.get_double("n"), 100.0);
+}
+
+TEST(ArgParser, U32AcceptsTheFullRange) {
+  ArgParser p = sample_parser();
+  const char* argv[] = {"prog", "--n=4294967295"};
+  ASSERT_TRUE(p.parse(2, argv));
+  EXPECT_EQ(p.get_u32("n"), 4294967295u);
+  EXPECT_EQ(p.get_u64("n"), 4294967295u);
+}
+
+TEST(ArgParser, U32RejectsValuesAboveUint32MaxInsteadOfTruncating) {
+  // 2^32 + 1 used to run as 1, 2^32 + 64 as 64; 2^64 - 1 as UINT32_MAX.
+  for (const char* value : {"4294967296", "4294967297", "4294967360",
+                            "18446744073709551615"}) {
+    ArgParser p = sample_parser();
+    const std::string arg = std::string("--n=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(p.parse(2, argv));
+    EXPECT_EQ(p.get_u64("n"), std::stoull(value));
+    try {
+      (void)p.get_u32("n");
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--n"), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ArgParser, U32TypeMismatchThrows) {
+  ArgParser p = sample_parser();
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(p.parse(1, argv));
+  EXPECT_THROW((void)p.get_u32("format"), std::invalid_argument);
 }
 
 TEST(ArgParser, DuplicateRegistrationThrows) {

@@ -64,13 +64,13 @@ int main(int argc, char** argv) {
     bbb::dyn::DynConfig cfg;
     cfg.allocator_spec = args.get_string("allocator");
     cfg.workload_spec = args.get_string("workload");
-    cfg.n = static_cast<std::uint32_t>(args.get_u64("n"));
+    cfg.n = args.get_u32("n");
     cfg.m_hint = args.get_u64("mhint");
     cfg.warmup = args.get_u64("warmup");
     cfg.events = args.get_u64("events");
     cfg.stride = args.get_u64("stride");
-    cfg.tail_max = static_cast<std::uint32_t>(args.get_u64("tail"));
-    cfg.replicates = static_cast<std::uint32_t>(args.get_u64("reps"));
+    cfg.tail_max = args.get_u32("tail");
+    cfg.replicates = args.get_u32("reps");
     cfg.seed = args.get_u64("seed");
     cfg.layout = bbb::core::parse_state_layout(args.get_string("layout"));
     cfg.obs = bbb::obs::parse_obs_flags(args);

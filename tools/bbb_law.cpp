@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                                    : std::uint64_t{1} << args.get_u64("log2m");
     cfg.n = args.get_u64("n") != 0 ? args.get_u64("n")
                                    : std::uint64_t{1} << args.get_u64("log2n");
-    cfg.replicates = static_cast<std::uint32_t>(args.get_u64("reps"));
+    cfg.replicates = args.get_u32("reps");
     cfg.seed = args.get_u64("seed");
     cfg.obs = bbb::obs::parse_obs_flags(args);
     const auto format = bbb::io::parse_format(args.get_string("format"));

@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
           "shards[" + std::to_string(shards) + "]:" + cfg.protocol_spec;
     }
     cfg.m = args.get_u64("m");
-    cfg.n = static_cast<std::uint32_t>(args.get_u64("n"));
-    cfg.replicates = static_cast<std::uint32_t>(args.get_u64("reps"));
+    cfg.n = args.get_u32("n");
+    cfg.replicates = args.get_u32("reps");
     cfg.seed = args.get_u64("seed");
     cfg.layout = bbb::core::parse_state_layout(args.get_string("layout"));
     cfg.tier = bbb::sim::parse_tier(args.get_string("tier"));

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     }
 
     const auto m = args.get_u64("m");
-    const auto n = static_cast<std::uint32_t>(args.get_u64("n"));
+    const auto n = args.get_u32("n");
     const auto points = args.get_u64("points");
     const auto format = bbb::io::parse_format(args.get_string("format"));
     if (points == 0) throw std::invalid_argument("--points must be positive");
