@@ -191,10 +191,11 @@ RuleRecipe parse_rule(const std::string& spec) {
 }
 
 /// The batch form of every spec whose batch run is the place_one loop —
-/// every spec but a bare batched[c], capacities= prefix included. run()
-/// binds the spec's streaming allocator to (n, m) and drives run_rule.
-/// A capacitated `batched[c]` therefore runs the capacity-bounded
-/// streaming form, not the round-synchronous LW rounds.
+/// every spec but a bare batched[c] and shards[t > 1]:, capacities= and
+/// shards[1]: prefixes included. run() binds the spec's streaming
+/// allocator to (n, m) and drives run_rule. A prefixed `batched[c]`
+/// therefore runs the capacity-bounded streaming form, not the
+/// round-synchronous LW rounds.
 class RuleProtocol final : public Protocol {
  public:
   RuleProtocol(std::string spec, std::string name)
@@ -214,61 +215,62 @@ class RuleProtocol final : public Protocol {
   std::string name_;
 };
 
-void reject_weighted_prefix(const SpecPrefix& prefix, const std::string& spec) {
+/// Reject the prefixes no spec may carry: `weighted:` (a workload
+/// modifier) and `shards[t]:` together with `capacities=` (the shard
+/// engine partitions a uniform state; a single shard has no use for one).
+void check_prefix(const SpecPrefix& prefix, const std::string& spec) {
   if (prefix.weighted) {
     throw std::invalid_argument("protocol spec '" + spec +
                                 "': 'weighted:' is a workload modifier, not a "
                                 "protocol one");
   }
+  if (prefix.shards != 0 && !prefix.capacities.empty()) {
+    throw std::invalid_argument("protocol spec '" + spec +
+                                "': 'shards[t]:' cannot combine with "
+                                "'capacities='");
+  }
+}
+
+/// The name prefix a streaming allocator carries so its spec round-trips:
+/// the capacity profile, or `shards[1]:` — one shard is the sequential
+/// streaming core itself, so that prefix is a name and nothing else.
+std::string name_prefix(const SpecPrefix& prefix) {
+  if (prefix.shards == 1) return "shards[1]:";
+  return prefix.capacities.empty() ? "" : capacities_prefix(prefix.capacities);
 }
 
 }  // namespace
 
 std::unique_ptr<Protocol> make_protocol(const std::string& spec) {
   const SpecPrefix prefix = split_spec_prefix(spec, kKind);
-  reject_weighted_prefix(prefix, spec);
-  if (prefix.shards != 0) {
-    if (!prefix.capacities.empty()) {
-      // The shard engine partitions a *uniform* state; a capacitated
-      // sharded run would need per-shard capacity profiles it cannot cut.
-      throw std::invalid_argument("protocol spec '" + spec +
-                                  "': 'shards[t]:' cannot combine with "
-                                  "'capacities='");
-    }
+  check_prefix(prefix, spec);
+  if (prefix.shards > 1) {
     shard::ShardOptions opt;
     opt.shards = prefix.shards;
     return std::make_unique<shard::ShardedProtocol>(prefix.rest, opt);
   }
   const RuleRecipe recipe = parse_rule(prefix.rest);
-  if (prefix.capacities.empty() && recipe.lw_capacity != 0) {
+  const std::string head = name_prefix(prefix);
+  if (head.empty() && recipe.lw_capacity != 0) {
     BatchedProtocol::Params p;
     p.capacity = recipe.lw_capacity;
     return std::make_unique<BatchedProtocol>(p);
   }
-  const std::string name_prefix =
-      prefix.capacities.empty() ? "" : capacities_prefix(prefix.capacities);
-  return std::make_unique<RuleProtocol>(spec, name_prefix + recipe.name);
+  return std::make_unique<RuleProtocol>(spec, head + recipe.name);
 }
 
 std::unique_ptr<PlacementRule> make_rule(const std::string& spec, std::uint32_t n,
                                          std::uint64_t m_hint) {
   const SpecPrefix prefix = split_spec_prefix(spec, kKind);
-  reject_weighted_prefix(prefix, spec);
-  if (prefix.shards != 0) {
-    // A rule is one shard's decision logic; the engine owning the worker
-    // threads and their round exchange is a different object.
+  check_prefix(prefix, spec);
+  if (prefix.shards != 0 || !prefix.capacities.empty()) {
+    // A bare rule has no state to carry capacities and no name prefix;
+    // pairing it with a uniform BinState would silently drop them.
     throw std::invalid_argument(
         "protocol spec '" + spec +
-        "': 'shards[t]:' builds a multi-threaded engine, not a streaming "
-        "rule — run it via make_protocol (or shard::ShardedAllocator)");
-  }
-  if (!prefix.capacities.empty()) {
-    // A bare rule has no state to carry the capacities; pairing it with a
-    // uniform BinState would silently drop them.
-    throw std::invalid_argument(
-        "protocol spec '" + spec +
-        "': 'capacities=' needs the matching state — build the pair through "
-        "make_streaming_allocator (or run via make_protocol)");
+        "': a bare rule takes no 'capacities=' or 'shards[t]:' prefix — build "
+        "the state + rule pair through make_streaming_allocator (or run via "
+        "make_protocol)");
   }
   return parse_rule(spec).build(n, m_hint);
 }
@@ -278,20 +280,20 @@ std::unique_ptr<StreamingAllocator> make_streaming_allocator(const std::string& 
                                                              std::uint64_t m_hint,
                                                              StateLayout layout) {
   const SpecPrefix prefix = split_spec_prefix(spec, kKind);
-  reject_weighted_prefix(prefix, spec);
-  if (prefix.shards != 0) {
+  check_prefix(prefix, spec);
+  if (prefix.shards > 1) {
     throw std::invalid_argument(
         "protocol spec '" + spec +
-        "': 'shards[t]:' builds a multi-threaded engine, not a streaming "
-        "allocator — run it via make_protocol (or shard::ShardedAllocator)");
+        "': 'shards[t]:' with t > 1 builds a multi-threaded engine, not a "
+        "streaming allocator — run it via make_protocol (or "
+        "shard::ShardedAllocator)");
   }
-  auto rule = make_rule(prefix.rest, n, m_hint);
-  if (prefix.capacities.empty()) {
-    return std::make_unique<StreamingAllocator>(BinState(n, layout), std::move(rule));
-  }
-  return std::make_unique<StreamingAllocator>(
-      BinState(expand_capacities(prefix.capacities, n), layout), std::move(rule),
-      capacities_prefix(prefix.capacities));
+  auto rule = parse_rule(prefix.rest).build(n, m_hint);
+  BinState state = prefix.capacities.empty()
+                       ? BinState(n, layout)
+                       : BinState(expand_capacities(prefix.capacities, n), layout);
+  return std::make_unique<StreamingAllocator>(std::move(state), std::move(rule),
+                                              name_prefix(prefix));
 }
 
 std::vector<std::string> protocol_specs() {

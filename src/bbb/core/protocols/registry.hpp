@@ -8,8 +8,8 @@
 ///     what the dyn engine, the tracer, and every embedding application
 ///     consume;
 ///   * `make_protocol(spec)` builds the batch `Protocol`. That is the
-///     sharded engine for `shards[t]:`, the round-synchronous LW rounds
-///     for a bare `batched[c]`, and for every other spec one generic
+///     sharded engine for `shards[t]:` with t >= 2, the round-synchronous
+///     LW rounds for a bare `batched[c]`, and for every other spec one generic
 ///     protocol whose run() is `run_rule` over the spec's streaming
 ///     allocator (the place_one loop plus `finalize`). It checks every
 ///     n-independent argument up front and allocates no per-bin state.
@@ -47,10 +47,13 @@
 ///
 /// A spec may instead carry the sharded-engine prefix
 ///   shards[t]:spec               e.g. shards[4]:greedy[2]
-/// which runs the rule on t worker threads in the bulk-synchronous rounds
-/// of shard/engine.hpp — exactly distribution-equal to the sequential rule
-/// (t = 1 is bit-identical). Cannot combine with `capacities=`; t > 1
-/// supports one-choice / greedy[d] / left[d].
+/// For t >= 2 it runs one-choice / greedy[d] / left[d] on t worker threads
+/// in the bulk-synchronous rounds of shard/engine.hpp — exactly
+/// distribution-equal to the sequential rule. `shards[1]:` is a name
+/// prefix on the streaming core, like `capacities=`: every family, and
+/// bit-identical to the bare spec (make_streaming_allocator accepts it;
+/// its batch form is the place loop, so `shards[1]:batched[c]` runs the
+/// streaming capacity-bounded form). Cannot combine with `capacities=`.
 ///
 /// The three adaptive spellings are identical on arrivals-only streams;
 /// net and total only diverge once departures arrive (see adaptive.hpp).
@@ -74,8 +77,9 @@ namespace bbb::core {
 /// (threshold's fixed bound); 0 means unknown, which falls back to m = n —
 /// i.e. `threshold[c]` with no hint accepts load <= c. All other rules
 /// ignore the hint. Rules read capacities off the BinState they are driven
-/// against, so a `capacities=` prefix is rejected here: build the matching
-/// state + rule pair through make_streaming_allocator (or make_protocol).
+/// against and carry no name prefix, so `capacities=` and `shards[t]:`
+/// are rejected here: build the matching state + rule pair through
+/// make_streaming_allocator (or make_protocol).
 /// \throws std::invalid_argument for unknown names, malformed args, or
 ///         parameters invalid at this n (left[d] with d > n, ...).
 [[nodiscard]] std::unique_ptr<PlacementRule> make_rule(const std::string& spec,
@@ -83,12 +87,14 @@ namespace bbb::core {
                                                        std::uint64_t m_hint = 0);
 
 /// Build a rule *and* its matching BinState from a spec that may carry a
-/// `capacities=` prefix; the profile is cycled over the n bins. The
-/// allocator's name() round-trips the full spec (prefix included).
+/// `capacities=` prefix (the profile is cycled over the n bins) or a
+/// `shards[1]:` prefix. The allocator's name() round-trips the full spec
+/// (prefix included).
 /// `layout` selects the BinState storage (StateLayout::kCompact for the
 /// giant-scale tier; metrics and placements are bit-identical either way,
 /// but compact states reject sample_nonempty — see bin_state.hpp).
-/// \throws std::invalid_argument as make_rule, or for a malformed prefix.
+/// \throws std::invalid_argument as make_rule, for a malformed prefix, or
+///         for `shards[t]:` with t >= 2 (a multi-threaded engine).
 [[nodiscard]] std::unique_ptr<StreamingAllocator> make_streaming_allocator(
     const std::string& spec, std::uint32_t n, std::uint64_t m_hint = 0,
     StateLayout layout = StateLayout::kWide);

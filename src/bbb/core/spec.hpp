@@ -12,10 +12,12 @@
 ///                               (protocol/allocator registries);
 ///   weighted:rest               atomic weighted arrivals — a whole chain
 ///                               lands in one bin (workload registry);
-///   shards[t]:rest              the sharded multi-core engine — t worker
-///                               threads in bulk-synchronous rounds, exactly
-///                               distribution-equal to the sequential rule
-///                               (protocol registry; see shard/engine.hpp).
+///   shards[t]:rest              the sharded multi-core engine — t >= 2
+///                               worker threads in bulk-synchronous rounds,
+///                               exactly distribution-equal to the
+///                               sequential rule (see shard/engine.hpp);
+///                               t = 1 is a name on the streaming core
+///                               (protocol registry).
 
 #include <cstdint>
 #include <string>

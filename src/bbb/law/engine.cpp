@@ -97,14 +97,26 @@ LawSpec parse_law_spec(const std::string& spec) {
                               "' (law tier knows one-choice, greedy[d], mixed[d,b])");
 }
 
+/// Most levels a fluid curve integrates.
+constexpr double kFluidMaxLevels = 4096.0;
+
 /// Levels worth integrating: average load plus a generous fluctuation
 /// band. The fluid curves decay at least geometrically past t, so the
-/// cap never truncates a level whose expected count could reach 1/2.
+/// band never truncates a level whose expected count could reach 1/2.
+/// A band past kFluidMaxLevels is refused before any integration: a
+/// capped curve would report the cap, not the load.
 std::uint32_t fluid_k_max(double t, std::uint64_t n) {
   const double spread =
       8.0 * std::sqrt((t + 1.0) * std::log(static_cast<double>(n) + 2.0)) + 64.0;
   const double k = std::ceil(t + spread);
-  return static_cast<std::uint32_t>(std::min(k, 4096.0));
+  if (k > kFluidMaxLevels) {
+    std::ostringstream msg;
+    msg << "run_law_experiment: m/n = " << t << " needs " << k
+        << " fluid levels, past the cap of " << kFluidMaxLevels
+        << "; for sampled one-choice at this load use bbb_sim --tier=law";
+    throw std::invalid_argument(msg.str());
+  }
+  return static_cast<std::uint32_t>(k);
 }
 
 /// Largest k with expected #bins below level k under 1/2 — i.e. the fluid

@@ -88,7 +88,9 @@ struct LawSummary {
 
 /// Run a law-tier experiment.
 /// \throws std::invalid_argument for bad config (unknown spec, n == 0,
-///         replicates == 0 on a sampled spec).
+///         replicates == 0 on a sampled spec), or when m/n plus its
+///         fluctuation band needs more than the fluid curve's 4096 levels
+///         (every spec: the summary always carries the fluid curve).
 [[nodiscard]] LawSummary run_law_experiment(const LawConfig& config);
 
 }  // namespace bbb::law

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -154,9 +155,18 @@ OccupancyProfile sample_poisson_profile(std::uint64_t n, double lambda,
   // all n bins: n * P(X < j0) <= e^-64 when j0 = lambda - sqrt(2 lambda t)
   // with t = ln n + 64 (Poisson lower tail, theory::poisson_lower_tail_bound
   // form). Starting the level chain there skips the O(lambda) certainly-empty
-  // levels at large average load.
+  // levels at large average load. Bernstein's bound puts the top of the
+  // band at lambda + sqrt(2 lambda t) + t; the profile's levels are 32-bit,
+  // so a band past 2^32 is refused before anything is allocated.
   const double t = std::log(static_cast<double>(n)) + 64.0;
-  const double lower = lambda - std::sqrt(2.0 * lambda * t);
+  const double spread = std::sqrt(2.0 * lambda * t);
+  if (lambda + spread + t >= 4294967296.0) {
+    std::ostringstream msg;
+    msg << "law sampler: mean load m/n = " << lambda
+        << " puts the occupied levels past the profile's 32-bit load range";
+    throw std::invalid_argument(msg.str());
+  }
+  const double lower = lambda - spread;
   const std::uint32_t j0 =
       lower > 1.0 ? static_cast<std::uint32_t>(lower) : 0;
 

@@ -39,12 +39,15 @@ namespace bbb::law {
 /// and the transfer tests; sum of loads is Poisson(n*lambda), not fixed).
 /// Levels whose expected bin count is below e^-64 are treated as empty
 /// (total variation error < e^-64 — far below any statistical resolution).
-/// \throws std::invalid_argument if n == 0, lambda < 0, or not finite.
+/// \throws std::invalid_argument if n == 0, lambda < 0, or not finite, or
+///         if the occupied levels (lambda +- sqrt(2 lambda (ln n + 64)))
+///         reach past the profile's 32-bit loads — before allocating.
 [[nodiscard]] OccupancyProfile sample_poisson_profile(std::uint64_t n, double lambda,
                                                       rng::Engine& gen);
 
 /// Exact one-choice occupancy profile of m balls in n bins (steps 1 + 2).
-/// \throws std::invalid_argument if n == 0.
+/// \throws std::invalid_argument if n == 0, or if m/n puts the occupied
+///         levels past 32-bit loads (as sample_poisson_profile).
 [[nodiscard]] OccupancyProfile sample_one_choice_profile(std::uint64_t m,
                                                          std::uint64_t n,
                                                          rng::Engine& gen);

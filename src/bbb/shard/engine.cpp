@@ -24,10 +24,6 @@ namespace {
 /// no information (the original error lives in that worker's slot).
 struct Aborted {};
 
-/// Chunk size of the single-shard stream — the same 64Ki stride the sim
-/// runner's heartbeat path uses. Each chunk counts as one message.
-constexpr std::uint64_t kSingleChunk = 0x10000;
-
 /// Set in a serve reply when an earlier ball of the round already probed
 /// the bin. A round-start load >= 2^31 also reads as a conflict; that only
 /// defers the ball to the exact cleanup replay, so placements stay exact.
@@ -43,6 +39,27 @@ void prefetch_write(const void* p) noexcept {
 #else
   (void)p;
 #endif
+}
+
+/// The one check of what the round protocol runs: at least two shards and
+/// a one-choice / greedy[d] / left[d] inner spec with d <= kMaxShardD.
+/// Returns the parsed inner spec (d == 0 is the registry's own error).
+core::ParsedSpec parse_round_spec(const std::string& inner_spec, std::uint32_t shards) {
+  const std::string spec = "protocol spec 'shards[" + std::to_string(shards) + "]:" +
+                           inner_spec + "': ";
+  if (shards < 2) {
+    throw std::invalid_argument(spec + "the sharded engine needs at least 2 shards "
+                                       "(shards[1]: runs on the streaming core)");
+  }
+  const core::ParsedSpec s = core::parse_spec(inner_spec, "protocol");
+  if (s.name != "one-choice" && s.name != "greedy" && s.name != "left") {
+    throw std::invalid_argument(spec + "the sharded engine implements one-choice / "
+                                       "greedy[d] / left[d] only");
+  }
+  if (!s.args.empty() && s.args[0] > kMaxShardD) {
+    throw std::invalid_argument(spec + "d must be <= " + std::to_string(kMaxShardD));
+  }
+  return s;
 }
 
 /// One probe in a (sender, owner) request bucket.
@@ -103,40 +120,14 @@ struct ShardedAllocator::Sync {
 ShardedAllocator::ShardedAllocator(const std::string& inner_spec, std::uint32_t n,
                                    ShardOptions opt)
     : topo_(n, opt.shards), opt_(opt) {
-  // Route the spec through the registry for argument validation and the
-  // canonical name, whatever the shard count.
-  auto rule = core::make_rule(inner_spec, n, opt.m_hint);
-  inner_name_ = rule->name();
-
-  if (topo_.shards() == 1) {
-    rule_ = std::move(rule);
-    single_state_ = std::make_unique<core::BinState>(n, opt_.layout);
-    return;
-  }
-
-  const core::ParsedSpec s = core::parse_spec(inner_spec, "protocol");
-  if (s.name == "one-choice") {
-    kind_ = Kind::kOneChoice;
-    d_ = 1;
-  } else if (s.name == "greedy") {
-    kind_ = Kind::kGreedy;
-    d_ = core::spec_arg_u32(s, 0, inner_spec, "protocol");
-  } else if (s.name == "left") {
-    kind_ = Kind::kLeft;
-    d_ = core::spec_arg_u32(s, 0, inner_spec, "protocol");
-  } else {
-    throw std::invalid_argument(
-        "sharded engine: multi-shard mode implements the probe-based rules "
-        "one-choice / greedy[d] / left[d]; '" + inner_name_ +
-        "' runs only as shards[1]");
-  }
-  if (d_ == 0) {
-    throw std::invalid_argument("sharded engine: d must be positive");
-  }
-  if (d_ > kMaxShardD) {
-    throw std::invalid_argument("sharded engine: d must be <= " +
-                                std::to_string(kMaxShardD) + " in multi-shard mode");
-  }
+  // The registry validates the arguments (d > 0, left[d] with d <= n) and
+  // gives the canonical name.
+  inner_name_ = core::make_rule(inner_spec, n)->name();
+  const core::ParsedSpec s = parse_round_spec(inner_spec, topo_.shards());
+  kind_ = s.name == "greedy" ? Kind::kGreedy
+          : s.name == "left" ? Kind::kLeft
+                             : Kind::kOneChoice;
+  d_ = s.args.empty() ? 1 : static_cast<std::uint32_t>(s.args[0]);
   const std::uint64_t cap = 65535ULL * topo_.shards();
   round_total_ = std::clamp<std::uint64_t>(opt_.round_balls, topo_.shards(), cap);
 }
@@ -203,32 +194,6 @@ std::uint32_t ShardedAllocator::decide_slot(const std::uint32_t* loads, std::uin
 void ShardedAllocator::run(std::uint64_t m, rng::Engine& gen) {
   if (ran_) throw std::logic_error("ShardedAllocator::run: engine is one-shot");
   ran_ = true;
-  if (topo_.shards() == 1) {
-    run_single(m, gen);
-  } else {
-    run_sharded(m, gen);
-  }
-}
-
-void ShardedAllocator::run_single(std::uint64_t m, rng::Engine& gen) {
-  // The calling thread owns the engine and the rule for the whole run, so
-  // the engine-exclusivity promise holds and placements are bit-for-bit
-  // the StreamingAllocator place_batch + finalize stream.
-  rule_->set_engine_exclusive(true);
-  for (std::uint64_t left = m; left > 0;) {
-    const std::uint64_t chunk = std::min(kSingleChunk, left);
-    rule_->place_batch(*single_state_, chunk, gen);
-    counters_.balls += chunk;
-    ++counters_.messages;
-    left -= chunk;
-  }
-  ++counters_.messages;  // the end marker
-  rule_->finalize(*single_state_, gen);
-  rule_->set_engine_exclusive(false);
-  counters_.probes = rule_->probes();
-}
-
-void ShardedAllocator::run_sharded(std::uint64_t m, rng::Engine& gen) {
   // One word of the caller's stream seeds the nested per-shard substreams
   // (SeedSequence nesting: replicate seed -> shard seeds), so a sharded
   // run consumes the caller's engine deterministically regardless of T.
@@ -447,26 +412,20 @@ void ShardedAllocator::cleanup_round() {
 // -- merged reads ------------------------------------------------------------
 
 std::uint64_t ShardedAllocator::balls() const noexcept {
-  if (single_state_) return single_state_->balls();
   std::uint64_t total = 0;
   for (const auto& w : workers_) total += w->state.balls();
   return total;
 }
 
-std::uint64_t ShardedAllocator::probes() const noexcept {
-  if (rule_) return rule_->probes();
-  return counters_.probes;
-}
+std::uint64_t ShardedAllocator::probes() const noexcept { return counters_.probes; }
 
 std::uint32_t ShardedAllocator::max_load() const noexcept {
-  if (single_state_) return single_state_->max_load();
   std::uint32_t best = 0;
   for (const auto& w : workers_) best = std::max(best, w->state.max_load());
   return best;
 }
 
 std::uint32_t ShardedAllocator::min_load() const noexcept {
-  if (single_state_) return single_state_->min_load();
   std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
   for (const auto& w : workers_) best = std::min(best, w->state.min_load());
   return best;
@@ -475,7 +434,6 @@ std::uint32_t ShardedAllocator::min_load() const noexcept {
 std::uint32_t ShardedAllocator::gap() const noexcept { return max_load() - min_load(); }
 
 double ShardedAllocator::psi() const noexcept {
-  if (single_state_) return single_state_->psi();
   std::uint64_t sum_sq = 0;
   std::uint64_t t = 0;
   for (const auto& w : workers_) {
@@ -488,7 +446,6 @@ double ShardedAllocator::psi() const noexcept {
 }
 
 double ShardedAllocator::log_phi() const noexcept {
-  if (single_state_) return single_state_->log_phi();
   double weight = 0.0;
   std::uint64_t t = 0;
   for (const auto& w : workers_) {
@@ -500,11 +457,6 @@ double ShardedAllocator::log_phi() const noexcept {
 }
 
 std::vector<std::uint32_t> ShardedAllocator::merged_level_counts() const {
-  if (single_state_) {
-    auto counts = single_state_->level_counts();
-    counts.resize(static_cast<std::size_t>(single_state_->max_load()) + 1);
-    return counts;
-  }
   std::vector<std::uint32_t> merged(static_cast<std::size_t>(max_load()) + 1, 0);
   for (const auto& w : workers_) {
     const auto& counts = w->state.level_counts();
@@ -516,7 +468,6 @@ std::vector<std::uint32_t> ShardedAllocator::merged_level_counts() const {
 }
 
 std::vector<std::uint32_t> ShardedAllocator::copy_loads() const {
-  if (single_state_) return single_state_->copy_loads();
   std::vector<std::uint32_t> loads;
   loads.reserve(topo_.n());
   for (const auto& w : workers_) {
@@ -531,22 +482,11 @@ core::AllocationResult ShardedAllocator::result() const {
   out.loads = copy_loads();
   out.balls = balls();
   out.probes = probes();
-  if (rule_) {
-    out.reallocations = rule_->reallocations();
-    out.rounds = rule_->rounds();
-    out.completed = rule_->completed();
-  } else {
-    out.rounds = sync_rounds_;
-    out.completed = true;
-  }
+  out.rounds = sync_rounds_;
   return out;
 }
 
 const core::BinState& ShardedAllocator::shard_state(std::uint32_t s) const {
-  if (single_state_) {
-    if (s != 0) throw std::out_of_range("shard_state: single-shard engine");
-    return *single_state_;
-  }
   if (s >= workers_.size()) throw std::out_of_range("shard_state: no such shard");
   return workers_[s]->state;
 }
@@ -557,19 +497,7 @@ ShardedProtocol::ShardedProtocol(std::string inner_spec, ShardOptions opt)
     : inner_spec_(std::move(inner_spec)), opt_(opt) {
   opt_.layout = core::StateLayout::kWide;  // the batch path materializes loads
   inner_name_ = core::make_protocol(inner_spec_)->name();
-  if (opt_.shards == 0) {
-    throw std::invalid_argument("protocol spec 'shards[0]:" + inner_spec_ +
-                                "': shard count must be positive");
-  }
-  if (opt_.shards > 1) {
-    // Fail unsupported multi-shard rules at construction, not first run.
-    const core::ParsedSpec s = core::parse_spec(inner_spec_, "protocol");
-    if (s.name != "one-choice" && s.name != "greedy" && s.name != "left") {
-      throw std::invalid_argument(
-          "protocol spec 'shards[" + std::to_string(opt_.shards) + "]:" + inner_spec_ +
-          "': multi-shard mode implements one-choice / greedy[d] / left[d] only");
-    }
-  }
+  parse_round_spec(inner_spec_, opt_.shards);
 }
 
 std::string ShardedProtocol::name() const {
@@ -579,9 +507,7 @@ std::string ShardedProtocol::name() const {
 core::AllocationResult ShardedProtocol::run(std::uint64_t m, std::uint32_t n,
                                             rng::Engine& gen) const {
   core::validate_run_args(m, n);
-  ShardOptions opt = opt_;
-  opt.m_hint = m;
-  ShardedAllocator engine(inner_spec_, n, opt);
+  ShardedAllocator engine(inner_spec_, n, opt_);
   engine.run(m, gen);
   return engine.result();
 }

@@ -8,7 +8,7 @@
 /// its own bins. The 1-2-3-Toolkit's message count stays a counted
 /// quantity (ShardCounters::messages), not traffic the engine sends.
 ///
-/// ## Round protocol (T > 1)
+/// ## Round protocol
 ///
 /// Balls are processed in synchronized rounds of at most `round_balls`
 /// balls, each round split into contiguous per-worker slices (ball order
@@ -52,21 +52,17 @@
 /// and tests/shard/engine_test.cpp replays the same substreams through a
 /// literal sequential simulation and demands bit-equality.
 ///
-/// Multi-shard mode supports the probe-based rules one-choice /
-/// greedy[d] / left[d] (uniform capacities, d <= 8). Probe draws use the
-/// same rejection-sampled rng::uniform_below mapping as the sequential
-/// rules, from per-shard substreams derived via rng::SeedSequence
-/// nesting, so results depend only on (seed, shards, round_balls) —
-/// never on thread scheduling.
+/// The engine implements the probe-based rules one-choice / greedy[d] /
+/// left[d] (uniform capacities, d <= 8) on at least two shards. Probe
+/// draws use the same rejection-sampled rng::uniform_below mapping as the
+/// sequential rules, from per-shard substreams derived via
+/// rng::SeedSequence nesting, so results depend only on (seed, shards,
+/// round_balls) — never on thread scheduling.
 ///
-/// ## Single-shard mode (T == 1)
-///
-/// The calling thread drives the exact streaming loop — chunked
-/// place_batch plus finalize on the run's own engine — so every registry
-/// rule is supported and the result is bit-for-bit identical to
-/// StreamingAllocator (all 14 golden pin families; proven in the
-/// ShardLockstep suite). `shards[1]:` is therefore a safe default
-/// anywhere the sequential core runs today.
+/// `shards[1]:spec` is not an engine mode: the registry
+/// (core/protocols/registry.hpp) treats it as a name prefix on the
+/// sequential streaming core, so it runs every family and is bit-identical
+/// to `spec` by construction.
 
 #include <cstdint>
 #include <memory>
@@ -76,7 +72,6 @@
 
 #include "bbb/core/bin_state.hpp"
 #include "bbb/core/protocol.hpp"
-#include "bbb/core/rule.hpp"
 #include "bbb/rng/engine.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 #include "bbb/shard/counters.hpp"
@@ -84,15 +79,15 @@
 
 namespace bbb::shard {
 
-/// Largest d the multi-shard probe machinery supports (deferred-ball
-/// descriptors carry a fixed probe array). The sequential core has no
-/// such cap; shards[t>1] with a larger d throws at construction.
+/// Largest d the round protocol supports (deferred-ball descriptors carry
+/// a fixed probe array). The sequential core has no such cap; a larger d
+/// throws at construction.
 inline constexpr std::uint32_t kMaxShardD = 8;
 
 /// Engine knobs beyond the inner spec and n.
 struct ShardOptions {
-  std::uint32_t shards = 1;
-  /// Balls in flight per synchronized round (T > 1). Clamped to
+  std::uint32_t shards = 2;  ///< worker threads, 2 <= shards <= n
+  /// Balls in flight per synchronized round. Clamped to
   /// [shards, 65535 * shards]; the clamp fixes the round size, so it is
   /// part of the placement contract (a slice never exceeds 65535 balls).
   /// Larger rounds amortize the barriers; the deferral rate grows as
@@ -100,8 +95,8 @@ struct ShardOptions {
   /// any interesting n.
   std::uint32_t round_balls = 8192;
   core::StateLayout layout = core::StateLayout::kWide;
-  /// Forwarded to make_rule for rules that provision on total balls
-  /// (threshold's bound) — single-shard mode only.
+  /// Unused: the probe-based rules need no total-ball hint. Kept only
+  /// because existing callers still assign it.
   std::uint64_t m_hint = 0;
 };
 
@@ -109,8 +104,8 @@ struct ShardOptions {
 class ShardedAllocator {
  public:
   /// \param inner_spec a registry rule spec *without* modifier prefixes.
-  /// \throws std::invalid_argument for unknown/invalid specs, shards == 0
-  ///         or shards > n, or a multi-shard spec outside the supported
+  /// \throws std::invalid_argument for unknown/invalid specs, shards < 2
+  ///         or shards > n, or a spec outside the supported
   ///         one-choice / greedy[d<=8] / left[d<=8] set.
   ShardedAllocator(const std::string& inner_spec, std::uint32_t n, ShardOptions opt);
   ~ShardedAllocator();
@@ -121,9 +116,8 @@ class ShardedAllocator {
   /// Place m balls. Blocking: workers are spawned, run the whole stream,
   /// and are joined before return; worker exceptions rethrow here. The
   /// engine is one-shot (\throws std::logic_error on a second call).
-  /// T == 1 consumes `gen` exactly like the sequential streaming loop;
-  /// T > 1 draws a single word from `gen` as the nested master seed for
-  /// the per-shard substreams.
+  /// Draws a single word from `gen` as the nested master seed for the
+  /// per-shard substreams.
   void run(std::uint64_t m, rng::Engine& gen);
 
   /// "shards[T]:" + canonical inner rule name.
@@ -156,34 +150,25 @@ class ShardedAllocator {
   /// deferrals, request-bucket high-water) — passive, harvested by obs
   /// after run.
   [[nodiscard]] const ShardCounters& counters() const noexcept { return counters_; }
-  /// Per-phase wall time and barrier wait, summed over workers (T > 1;
-  /// all zero in single-shard mode).
+  /// Per-phase wall time and barrier wait, summed over workers.
   [[nodiscard]] const ShardPhaseTimes& phase_times() const noexcept {
     return phase_times_;
-  }
-  /// Single-shard mode's inner rule, for CoreCounters harvesting
-  /// (lookahead refills, batch-kernel waves); nullptr when T > 1.
-  [[nodiscard]] const core::PlacementRule* rule() const noexcept {
-    return rule_.get();
   }
   /// One shard's state, for tests. \throws std::out_of_range.
   [[nodiscard]] const core::BinState& shard_state(std::uint32_t s) const;
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
 
-  /// Completed synchronized rounds (T > 1; 0 in single-shard mode, whose
-  /// rounds are the inner rule's — e.g. self-balancing passes).
+  /// Completed synchronized rounds.
   [[nodiscard]] std::uint64_t sync_rounds() const noexcept { return sync_rounds_; }
 
  private:
   struct Worker;
   struct Sync;
 
-  void run_single(std::uint64_t m, rng::Engine& gen);
-  void run_sharded(std::uint64_t m, rng::Engine& gen);
   void worker_main(std::uint32_t s, std::uint64_t m);
   void cleanup_round();
 
-  /// Decision kinds the multi-shard protocol implements natively.
+  /// Decision kinds the round protocol implements natively.
   enum class Kind : std::uint8_t { kOneChoice, kGreedy, kLeft };
 
   [[nodiscard]] std::uint32_t decide_slot(const std::uint32_t* loads, std::uint32_t d,
@@ -202,27 +187,17 @@ class ShardedAllocator {
   ShardCounters counters_;
   ShardPhaseTimes phase_times_;
 
-  // Single-shard mode.
-  std::unique_ptr<core::PlacementRule> rule_;
-  std::unique_ptr<core::BinState> single_state_;
-
-  // Multi-shard mode.
   std::vector<std::unique_ptr<Worker>> workers_;
   std::unique_ptr<Sync> sync_;
 };
 
-/// Batch Protocol wrapper so `shards[t]:spec` slots into the registry and
-/// the wide sim path: run() builds a fresh wide-layout engine per call.
-/// Note the batch form of shards[1]:spec is the *streaming* form of the
-/// inner rule (place loop + finalize) — for batched[capacity], whose
-/// batch form is the LW rounds, the sharded spelling is therefore its
-/// streaming capacity-bounded variant, same as the compact layout runs
-/// (pinned separately in the GoldenPins suite).
+/// Batch Protocol wrapper so `shards[t]:spec` (t >= 2) slots into the
+/// registry: run() builds a fresh wide-layout engine per call.
 class ShardedProtocol final : public core::Protocol {
  public:
   /// \throws std::invalid_argument as ShardedAllocator (validated eagerly
-  ///         against a representative n at construction where possible;
-  ///         n-dependent limits re-check inside run()).
+  ///         at construction where possible; n-dependent limits re-check
+  ///         inside run()).
   ShardedProtocol(std::string inner_spec, ShardOptions opt);
 
   [[nodiscard]] std::string name() const override;

@@ -10,6 +10,7 @@
 #include "bbb/obs/harvest.hpp"
 #include "bbb/obs/obs.hpp"
 #include "bbb/shard/counters.hpp"
+#include "bbb/stats/histogram.hpp"
 
 namespace bbb::sim {
 
@@ -38,13 +39,12 @@ struct ExperimentConfig {
   std::uint32_t n = 1;                     ///< bins
   std::uint32_t replicates = 20;           ///< independent runs
   std::uint64_t seed = 42;                 ///< master seed
-  /// BinState storage layout. kWide is the historical batch path
-  /// (Protocol::run, bit-for-bit the classic results). kCompact is the
-  /// giant-scale tier: replicates stream place_one over an 8-bit-lane
-  /// state and read the incremental metrics — same allocations for every
-  /// rule whose batch form is the place loop (the one exception, batched[
-  /// capacity], runs its streaming capacity-bounded form), at ~1 byte per
-  /// bin so n = 2^30 fits in ~1 GiB.
+  /// BinState storage layout; it selects storage only, never results.
+  /// Both layouts stream place_batch over the spec's BinState and read the
+  /// incremental metrics. kWide keeps 32-bit loads plus the nonempty-bin
+  /// index; kCompact is the giant-scale tier, one 8-bit lane per bin, so
+  /// n = 2^30 fits in ~1 GiB. A bare batched[c] runs its LW rounds on
+  /// either layout, and shards[t >= 2]: builds one state per shard in it.
   core::StateLayout layout = core::StateLayout::kWide;
   /// Execution tier. Tier::kLaw replaces the per-ball simulation with the
   /// law tier's exact profile sampler (same SeedSequence-derived engines,
@@ -83,7 +83,8 @@ struct ReplicateRecord {
   obs::CoreCounters counters;
   /// Sharded-engine counters (cross-shard probe traffic, deferrals,
   /// request-bucket high-water), aggregated over the replicate's shards —
-  /// populated under the same condition, and only for `shards[t]:` specs.
+  /// populated under the same condition, and only for `shards[t]:` specs
+  /// with t >= 2 (`shards[1]:` runs the streaming core).
   shard::ShardCounters shard_counters;
   /// Sharded-engine wall time per round phase and barrier wait, summed
   /// over workers; populated under the same condition. Timings, so never
@@ -91,6 +92,10 @@ struct ReplicateRecord {
   shard::ShardPhaseTimes shard_phases;
   /// Replicate wall time; populated under the same condition.
   std::uint64_t wall_ns = 0;
+  /// The final load histogram (bins per load level), read off the state's
+  /// level counts or the law tier's sampled profile. Sparse: the law
+  /// tier's lowest level can be close to m/n.
+  stats::IntHistogram load_histogram;
 };
 
 }  // namespace bbb::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <vector>
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/batched.hpp"
@@ -25,6 +26,19 @@ namespace {
                                         .count());
 }
 
+/// The sparse histogram of level counts: entry i of `counts` is the
+/// number of bins at load base + i; entries from `top` on are ignored.
+template <typename Count>
+[[nodiscard]] stats::IntHistogram level_histogram(const std::vector<Count>& counts,
+                                                  std::size_t top,
+                                                  std::int64_t base = 0) {
+  stats::IntHistogram hist;
+  for (std::size_t i = 0; i < top; ++i) {
+    if (counts[i] > 0) hist.add(base + static_cast<std::int64_t>(i), counts[i]);
+  }
+  return hist;
+}
+
 }  // namespace
 
 double RunSummary::probes_per_ball() const {
@@ -34,7 +48,7 @@ double RunSummary::probes_per_ball() const {
 namespace {
 
 /// The exact-tier replicate path for every spec but a bare batched[c] and
-/// shards[t]:, on either layout: stream place_batch over the spec's
+/// shards[t >= 2]:, on either layout: stream place_batch over the spec's
 /// BinState and read the incremental metrics — no 32-bit load vector, no
 /// O(n) metric rescan, so n = 2^30 fits in ~1 GiB compact. Allocations
 /// are bit-for-bit the spec's Protocol::run result (which is run_rule over
@@ -85,6 +99,8 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
   rec.gap = state.gap();
   rec.psi = state.psi();
   rec.log_phi = state.log_phi();
+  rec.load_histogram =
+      level_histogram(state.level_counts(), std::size_t{state.max_load()} + 1);
   if (config.obs.counters_on()) {
     rec.counters = obs::harvest(*alloc);
     rec.wall_ns = elapsed_ns(start);
@@ -92,13 +108,13 @@ ReplicateRecord run_streaming_replicate(const ExperimentConfig& config,
   return rec;
 }
 
-/// The sharded replicate path, for `shards[t]:` specs in either layout:
-/// run the multi-core engine of shard/engine.hpp directly (rather than
-/// through its opaque Protocol wrapper) so the merged incremental metrics
-/// are read off the per-shard states — no O(n) load materialization — and
-/// the shard counters (cross-shard traffic, deferrals, bucket high-water)
-/// can be harvested. Results are identical to the wrapper: same derived
-/// engine, same consumption.
+/// The sharded replicate path, for `shards[t]:` specs with t >= 2 in
+/// either layout: run the multi-core engine of shard/engine.hpp directly
+/// (rather than through its opaque Protocol wrapper) so the merged
+/// incremental metrics are read off the per-shard states — no O(n) load
+/// materialization — and the shard counters (cross-shard traffic,
+/// deferrals, bucket high-water) can be harvested. Results are identical
+/// to the wrapper: same derived engine, same consumption.
 ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
                                       std::uint32_t shards,
                                       const std::string& inner_spec,
@@ -107,7 +123,6 @@ ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
   shard::ShardOptions opt;
   opt.shards = shards;
   opt.layout = config.layout;
-  opt.m_hint = config.m;
   shard::ShardedAllocator engine(inner_spec, config.n, opt);
   rng::Engine gen = rng::SeedSequence(config.seed).engine(replicate_index);
   engine.run(config.m, gen);
@@ -119,21 +134,13 @@ ReplicateRecord run_sharded_replicate(const ExperimentConfig& config,
   rec.gap = engine.gap();
   rec.psi = engine.psi();
   rec.log_phi = engine.log_phi();
-  if (const core::PlacementRule* rule = engine.rule(); rule != nullptr) {
-    rec.reallocations = static_cast<double>(rule->reallocations());
-    rec.rounds = static_cast<double>(rule->rounds());
-    rec.completed = rule->completed();
-  } else {
-    rec.rounds = static_cast<double>(engine.sync_rounds());
-  }
+  rec.rounds = static_cast<double>(engine.sync_rounds());
+  const std::vector<std::uint32_t> levels = engine.merged_level_counts();
+  rec.load_histogram = level_histogram(levels, levels.size());
   if (config.obs.counters_on()) {
-    if (const core::PlacementRule* rule = engine.rule(); rule != nullptr) {
-      rec.counters = obs::harvest(*rule, &engine.shard_state(0));
-    } else {
-      rec.counters.probes = engine.probes();
-      rec.counters.balls_placed = engine.balls();
-      rec.counters.rounds = engine.sync_rounds();
-    }
+    rec.counters.probes = engine.probes();
+    rec.counters.balls_placed = engine.balls();
+    rec.counters.rounds = engine.sync_rounds();
     rec.shard_counters = engine.counters();
     rec.shard_phases = engine.phase_times();
     rec.wall_ns = elapsed_ns(start);
@@ -168,6 +175,8 @@ ReplicateRecord run_law_replicate(const ExperimentConfig& config,
   rec.gap = profile.gap();
   rec.psi = profile.psi();
   rec.log_phi = profile.log_phi();
+  rec.load_histogram =
+      level_histogram(profile.counts(), profile.counts().size(), profile.base());
   if (config.obs.counters_on()) {
     // A sampled profile issues no real probes; report the one-choice cost
     // identity (one probe per ball) so cross-tier accounting lines up.
@@ -200,6 +209,7 @@ ReplicateRecord run_batched_replicate(const ExperimentConfig& config,
   rec.gap = metrics.gap;
   rec.psi = metrics.psi;
   rec.log_phi = metrics.log_phi;
+  rec.load_histogram = core::load_histogram(result.loads);
   if (config.obs.counters_on()) {
     rec.counters = obs::harvest(result);
     rec.wall_ns = elapsed_ns(start);
@@ -216,7 +226,7 @@ ReplicateRecord run_replicate(const ExperimentConfig& config,
   }
   if (const core::SpecPrefix prefix =
           core::split_spec_prefix(config.protocol_spec, "protocol");
-      prefix.shards != 0) {
+      prefix.shards > 1) {
     return run_sharded_replicate(config, prefix.shards, prefix.rest,
                                  replicate_index);
   }

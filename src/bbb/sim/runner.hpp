@@ -42,7 +42,10 @@ struct RunSummary {
   [[nodiscard]] double probes_per_ball() const;
 };
 
-/// Execute one replicate (exposed for tests and custom aggregation).
+/// Execute one replicate (exposed for tests and custom aggregation). This
+/// is the one place a spec's engine is chosen: the law tier's sampler,
+/// the sharded engine for `shards[t]:` with t >= 2, the LW rounds for a
+/// bare `batched[c]`, and the streaming core for everything else.
 [[nodiscard]] ReplicateRecord run_replicate(const ExperimentConfig& config,
                                             std::uint32_t replicate_index);
 

@@ -47,6 +47,8 @@ class IntHistogram {
   /// Multi-line ASCII bar chart (one row per value), `width` chars at peak.
   [[nodiscard]] std::string render_ascii(std::size_t width = 50) const;
 
+  friend bool operator==(const IntHistogram&, const IntHistogram&) = default;
+
  private:
   std::map<std::int64_t, std::uint64_t> counts_;
   std::uint64_t total_ = 0;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "bbb/sim/runner.hpp"
 
@@ -65,6 +69,28 @@ TEST(LawConfigValidation, RejectsBadSizes) {
   // Fluid specs have no replicates to run; 0 is fine there.
   cfg.protocol_spec = "greedy[2]";
   EXPECT_NO_THROW(run_law_experiment(cfg));
+}
+
+TEST(LawConfigValidation, RejectsFluidBandPastTheLevelCap) {
+  // m/n = 5000 needs more than the 4096 fluid levels: refused before the
+  // 512 * m/n RK4 steps are integrated, pointing one-choice at bbb_sim.
+  LawConfig cfg;
+  cfg.m = 50'000;
+  cfg.n = 10;
+  cfg.replicates = 1;
+  for (const char* spec : {"one-choice", "greedy[2]"}) {
+    SCOPED_TRACE(spec);
+    cfg.protocol_spec = spec;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)run_law_experiment(cfg);
+      ADD_FAILURE() << "m/n = 5000 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bbb_sim --tier=law"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  }
 }
 
 // ------------------------------------------------------------- sampled summary

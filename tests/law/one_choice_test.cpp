@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bbb/law/profile.hpp"
@@ -54,6 +56,22 @@ TEST(OneChoiceSampler, EdgeCases) {
   EXPECT_EQ(one.max_load(), 999u);
   EXPECT_EQ(one.min_load(), 999u);
   EXPECT_THROW(sample_one_choice_profile(1, 0, gen), std::invalid_argument);
+}
+
+TEST(OneChoiceSampler, RejectsLevelsPast32Bits) {
+  // m/n = 10^10: the occupied levels lie past 2^32, where the profile's
+  // 32-bit levels cannot hold them. Refused up front, naming m/n.
+  rng::Engine gen = engine_for(3);
+  try {
+    (void)sample_one_choice_profile(100'000'000'000ULL, 10, gen);
+    ADD_FAILURE() << "m/n = 10^10 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("m/n"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)sample_poisson_profile(10, 4.3e9, gen), std::invalid_argument);
+  // m/n = 2^32 - 1 fits the value itself but not its fluctuation band.
+  EXPECT_THROW((void)sample_one_choice_profile(0xFFFFFFFFULL, 1, gen),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- determinism

@@ -3,8 +3,9 @@
 ///   * ShardTopology — the balanced contiguous partition and its
 ///     reciprocal-division routing, property-tested against plain
 ///     division;
-///   * ShardLockstep — shards[1]:spec is bit-for-bit the sequential
-///     streaming core for EVERY registry family (both layouts), and a
+///   * ShardLockstep — shards[1]:spec, the registry's name prefix on the
+///     streaming core, is bit-for-bit the bare spec for EVERY registry
+///     family (both layouts), and a
 ///     multi-shard run is bit-for-bit a literal sequential replay of the
 ///     same substreams in global ball order — the exactness claim the
 ///     round protocol's conflict-deferral rule makes (engine.hpp);
@@ -110,7 +111,7 @@ TEST(ShardTopology, RejectsDegeneratePartitions) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardLockstep: shards[1] == the sequential streaming core, bit for bit
+// ShardLockstep: shards[1]:spec == spec, bit for bit
 // ---------------------------------------------------------------------------
 
 struct SeqResult {
@@ -136,21 +137,17 @@ SeqResult streaming_reference(const std::string& spec, std::uint32_t n,
   return out;
 }
 
-SeqResult sharded_run(const std::string& spec, std::uint32_t n, std::uint64_t m,
-                      std::uint32_t shards, core::StateLayout layout,
-                      std::uint64_t seed, std::uint32_t round_balls = 8192) {
-  ShardOptions opt;
-  opt.shards = shards;
-  opt.layout = layout;
-  opt.m_hint = m;
-  opt.round_balls = round_balls;
-  ShardedAllocator engine(spec, n, opt);
+/// The spec path of `shards[1]:spec`: the registry's streaming allocator
+/// for the prefixed spec, driven by the batch adapter.
+SeqResult single_shard_run(const std::string& spec, std::uint32_t n, std::uint64_t m,
+                           core::StateLayout layout, std::uint64_t seed) {
+  const auto alloc = core::make_streaming_allocator("shards[1]:" + spec, n, m, layout);
   rng::Engine gen = rng::SeedSequence(seed).engine(0);
-  engine.run(m, gen);
+  const core::AllocationResult res = core::run_rule(*alloc, m, gen);
   SeqResult out;
-  out.loads = engine.copy_loads();
-  out.probes = engine.probes();
-  out.balls = engine.balls();
+  out.loads = res.loads;
+  out.probes = res.probes;
+  out.balls = res.balls;
   return out;
 }
 
@@ -171,7 +168,7 @@ TEST(ShardLockstep, SingleShardMatchesStreamingCoreEveryFamily) {
   for (const std::string& spec : specs) {
     SCOPED_TRACE(spec);
     const SeqResult ref = streaming_reference(spec, kN, kM, core::StateLayout::kWide, 42);
-    const SeqResult got = sharded_run(spec, kN, kM, 1, core::StateLayout::kWide, 42);
+    const SeqResult got = single_shard_run(spec, kN, kM, core::StateLayout::kWide, 42);
     EXPECT_EQ(got.loads, ref.loads);
     EXPECT_EQ(got.probes, ref.probes);
     EXPECT_EQ(got.balls, ref.balls);
@@ -186,16 +183,17 @@ TEST(ShardLockstep, SingleShardMatchesStreamingCoreCompactLayout) {
     const SeqResult ref =
         streaming_reference(spec, 512, 8'192, core::StateLayout::kCompact, 7);
     const SeqResult got =
-        sharded_run(spec, 512, 8'192, 1, core::StateLayout::kCompact, 7);
+        single_shard_run(spec, 512, 8'192, core::StateLayout::kCompact, 7);
     EXPECT_EQ(got.loads, ref.loads);
     EXPECT_EQ(got.probes, ref.probes);
   }
 }
 
 TEST(ShardLockstep, ProtocolWrapperMatchesSequentialProtocol) {
-  // Through the registry: shards[1]:greedy[2] as a batch Protocol equals
-  // the plain greedy[2] Protocol (batch_equivalent rule, so its batch form
-  // IS the place loop).
+  // Through the registry: shards[1]:greedy[2] as a batch Protocol (the
+  // generic place-loop protocol under a name prefix) equals the plain
+  // greedy[2] Protocol (batch_equivalent rule, so its batch form IS the
+  // place loop).
   const auto sharded = core::make_protocol("shards[1]:greedy[2]");
   const auto plain = core::make_protocol("greedy[2]");
   rng::Engine g1 = rng::SeedSequence(42).engine(0);
@@ -437,7 +435,7 @@ TEST(ShardEngine, SameSeedSameResultIndependentOfScheduling) {
 }
 
 TEST(ShardEngine, ConservesBallsAcrossShardCounts) {
-  for (const std::uint32_t t : {1u, 2u, 3u, 5u, 8u}) {
+  for (const std::uint32_t t : {2u, 3u, 5u, 8u}) {
     SCOPED_TRACE("t=" + std::to_string(t));
     ShardOptions opt;
     opt.shards = t;
@@ -452,7 +450,7 @@ TEST(ShardEngine, ConservesBallsAcrossShardCounts) {
 }
 
 TEST(ShardEngine, ZeroBallsRunIsWellFormed) {
-  for (const std::uint32_t t : {1u, 4u}) {
+  for (const std::uint32_t t : {2u, 4u}) {
     ShardOptions opt;
     opt.shards = t;
     ShardedAllocator engine("greedy[2]", 32, opt);
@@ -509,12 +507,14 @@ TEST(ShardEngine, RejectsInvalidConfigurations) {
   EXPECT_THROW(ShardedAllocator("greedy[2]", 64, none), std::invalid_argument);
   // Unknown inner spec still fails through the registry.
   EXPECT_THROW(ShardedAllocator("no-such-rule", 64, two), std::invalid_argument);
-  // Single-shard mode supports everything the registry does.
+  // One shard is no engine mode: shards[1]:spec is the streaming core.
   ShardOptions one;
   one.shards = 1;
-  one.m_hint = 100;
-  EXPECT_NO_THROW(ShardedAllocator("adaptive", 64, one));
-  EXPECT_NO_THROW(ShardedAllocator("greedy[9]", 64, one));
+  EXPECT_THROW(ShardedAllocator("greedy[2]", 64, one), std::invalid_argument);
+  EXPECT_THROW(ShardedAllocator("adaptive", 64, one), std::invalid_argument);
+  EXPECT_THROW(ShardedProtocol("greedy[2]", one), std::invalid_argument);
+  EXPECT_THROW(ShardedProtocol("greedy[2]", none), std::invalid_argument);
+  EXPECT_NO_THROW(ShardedProtocol("greedy[2]", two));
 }
 
 TEST(ShardEngine, RegistryIntegration) {
@@ -532,6 +532,11 @@ TEST(ShardEngine, RegistryIntegration) {
                std::invalid_argument);
   EXPECT_THROW((void)core::make_streaming_allocator("shards[2]:greedy[2]", 64, 0,
                                                     core::StateLayout::kWide),
+               std::invalid_argument);
+  // One shard is a name prefix on the streaming core, not an engine.
+  EXPECT_EQ(core::make_streaming_allocator("shards[1]:cuckoo[2,4]", 64)->name(),
+            "shards[1]:cuckoo[2,4]");
+  EXPECT_THROW((void)core::make_rule("shards[1]:greedy[2]", 64, 0),
                std::invalid_argument);
   const std::vector<std::string> specs = core::protocol_specs();
   EXPECT_NE(std::find(specs.begin(), specs.end(), "shards[t]:spec"), specs.end());

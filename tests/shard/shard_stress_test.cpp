@@ -119,26 +119,5 @@ TEST(ShardStress, CleanupOverlapsNextDrawInConflictSaturatedRounds) {
   }
 }
 
-TEST(ShardStress, EngineSingleShardStreamUnderChurn) {
-  // The T == 1 chunked place_batch stream on the calling thread, run
-  // repeatedly: every run gives the same loads.
-  std::vector<std::uint32_t> reference;
-  for (int iteration = 0; iteration < 4; ++iteration) {
-    ShardOptions opt;
-    opt.shards = 1;
-    opt.m_hint = 70'000;
-    ShardedAllocator engine("greedy[2]", 1'024, opt);
-    rng::Engine gen = rng::SeedSequence(99).engine(0);
-    engine.run(70'000, gen);  // > one 64Ki chunk
-    ASSERT_EQ(engine.balls(), 70'000u);
-    const std::vector<std::uint32_t> loads = engine.copy_loads();
-    if (iteration == 0) {
-      reference = loads;
-    } else {
-      ASSERT_EQ(loads, reference) << "iteration " << iteration;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace bbb::shard

@@ -124,6 +124,7 @@ void expect_same_record(const ReplicateRecord& a, const ReplicateRecord& b) {
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.shard_counters, b.shard_counters);
   EXPECT_EQ(a.wall_ns, b.wall_ns);
+  EXPECT_EQ(a.load_histogram, b.load_histogram);
 }
 
 TEST(Runner, LayoutSelectsStorageNotResults) {
@@ -164,6 +165,49 @@ TEST(Runner, LayoutSelectsStorageNotResults) {
       SCOPED_TRACE(row.spec + " m=" + std::to_string(row.m) + " replicate " +
                    std::to_string(r));
       expect_same_record(wide.records[r], compact.records[r]);
+    }
+  }
+}
+
+TEST(Runner, SingleShardPrefixIsTheBareSpec) {
+  // shards[1]: is a name prefix on the streaming core: for every registry
+  // family, shards[1]:X and X give the same record field for field — core
+  // counters and load histogram included — and only the name differs. A
+  // bare batched[c] is the one family whose batch form is not the place
+  // loop (it runs LW rounds); like every prefixed batched[c],
+  // shards[1]:batched[c] runs the streaming capacity-bounded form, so its
+  // reference is capacities=1:batched[c], the same form on the same
+  // uniform bins.
+  par::ThreadPool pool(2);
+  for (const std::string family :
+       {"one-choice", "greedy[2]", "left[2]", "memory[1,1]", "threshold[2]",
+        "doubling-threshold[4]", "adaptive", "adaptive-net", "adaptive-total",
+        "stale-adaptive[8]", "skewed-adaptive[50]", "batched[2]", "self-balancing",
+        "cuckoo[2,4]"}) {
+    const std::string reference =
+        family == "batched[2]" ? "capacities=1:" + family : family;
+    for (const std::uint64_t m : {0, 1500}) {
+      SCOPED_TRACE(family + " m=" + std::to_string(m));
+      ExperimentConfig cfg;
+      cfg.protocol_spec = reference;
+      cfg.m = m;
+      cfg.n = 1000;
+      cfg.replicates = 2;
+      cfg.seed = 11;
+      cfg.obs.level = obs::ObsLevel::kCounters;
+      const RunSummary want = run_experiment(cfg, pool);
+      cfg.protocol_spec = "shards[1]:" + family;
+      const RunSummary got = run_experiment(cfg, pool);
+      EXPECT_EQ(got.protocol_name, cfg.protocol_spec);
+      EXPECT_EQ(got.obs.find("shard.message.count"), nullptr);
+      ASSERT_EQ(got.records.size(), want.records.size());
+      for (std::size_t r = 0; r < want.records.size(); ++r) {
+        ReplicateRecord a = want.records[r];
+        ReplicateRecord b = got.records[r];
+        EXPECT_GT(b.wall_ns, 0u);
+        a.wall_ns = b.wall_ns = 0;  // timings, not results
+        expect_same_record(a, b);
+      }
     }
   }
 }

@@ -204,11 +204,12 @@ Case bench_law_profile(std::uint64_t n, std::uint32_t reps, std::uint64_t seed) 
 }
 
 /// Sharded-engine threads sweep: the same greedy[2] workload at t = 1, 2,
-/// 4, 8 shards (balls/s). t = 1 is the streaming fast path (comparable to
-/// stream.greedy[2].wide); t > 1 pays the round-synchronized conflict
-/// protocol. On a machine with fewer hardware threads than shards the
-/// sweep records honest oversubscribed numbers — machine.hardware_threads
-/// in the record says which regime a trajectory point came from.
+/// 4, 8 shards (balls/s). t = 1 is `shards[1]:greedy[2]`, the streaming
+/// core under that name (comparable to stream.greedy[2].wide); t > 1 pays
+/// the round-synchronized conflict protocol. On a machine with fewer
+/// hardware threads than shards the sweep records honest oversubscribed
+/// numbers — machine.hardware_threads in the record says which regime a
+/// trajectory point came from.
 Case bench_shard_sweep(std::uint32_t shards, std::uint32_t n, std::uint64_t m,
                        std::uint64_t seed) {
   Case c;
@@ -217,16 +218,26 @@ Case bench_shard_sweep(std::uint32_t shards, std::uint32_t n, std::uint64_t m,
   c.layout = "wide";
   c.n = n;
   c.shards = shards;
-  bbb::shard::ShardOptions opt;
-  opt.shards = shards;
-  opt.m_hint = m;
-  bbb::shard::ShardedAllocator engine("greedy[2]", n, opt);
   bbb::rng::Engine gen = bbb::rng::SeedSequence(seed).engine(0);
-  const double t0 = now_seconds();
-  engine.run(m, gen);
-  const double t1 = now_seconds();
-  c = finish(std::move(c), t0, t1, m);
-  c.check = static_cast<double>(engine.max_load());
+  if (shards == 1) {
+    const auto alloc = bbb::core::make_streaming_allocator("shards[1]:greedy[2]", n, m);
+    alloc->set_engine_exclusive(true);
+    const double t0 = now_seconds();
+    alloc->place_batch(m, gen);
+    alloc->finalize(gen);
+    const double t1 = now_seconds();
+    c = finish(std::move(c), t0, t1, m);
+    c.check = static_cast<double>(alloc->state().max_load());
+  } else {
+    bbb::shard::ShardOptions opt;
+    opt.shards = shards;
+    bbb::shard::ShardedAllocator engine("greedy[2]", n, opt);
+    const double t0 = now_seconds();
+    engine.run(m, gen);
+    const double t1 = now_seconds();
+    c = finish(std::move(c), t0, t1, m);
+    c.check = static_cast<double>(engine.max_load());
+  }
   c.check_name = "max_load";
   return c;
 }

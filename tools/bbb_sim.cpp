@@ -9,69 +9,13 @@
 #include <cstdio>
 #include <string>
 
-#include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/batched.hpp"
+#include "bbb/core/protocol.hpp"
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/core/spec.hpp"
 #include "bbb/io/argparse.hpp"
 #include "bbb/io/csv.hpp"
 #include "bbb/io/table.hpp"
-#include "bbb/law/one_choice.hpp"
 #include "bbb/obs/cli.hpp"
-#include "bbb/rng/streams.hpp"
-#include "bbb/shard/engine.hpp"
 #include "bbb/sim/runner.hpp"
-
-namespace {
-
-/// Load histogram of one representative run (replicate 0's seed), built
-/// the way run_replicate runs that spec. The streamed and sharded paths
-/// read the state's level counts — O(max load), no 32-bit load vector (at
-/// n = 2^30 compact that vector alone would be 4 GiB); batched[c]'s LW
-/// rounds are a batch algorithm, so its histogram comes from its loads.
-bbb::stats::IntHistogram replicate0_histogram(const bbb::sim::ExperimentConfig& cfg) {
-  bbb::rng::Engine gen = bbb::rng::SeedSequence(cfg.seed).engine(0);
-  bbb::stats::IntHistogram hist;
-  if (cfg.tier == bbb::sim::Tier::kLaw) {
-    // Law tier: the sampled profile IS the histogram.
-    const auto profile = bbb::law::sample_one_choice_profile(cfg.m, cfg.n, gen);
-    for (std::size_t i = 0; i < profile.counts().size(); ++i) {
-      if (profile.counts()[i] > 0) hist.add(profile.base() + i, profile.counts()[i]);
-    }
-    return hist;
-  }
-  if (const auto prefix = bbb::core::split_spec_prefix(cfg.protocol_spec, "protocol");
-      prefix.shards != 0) {
-    bbb::shard::ShardOptions opt;
-    opt.shards = prefix.shards;
-    opt.layout = cfg.layout;
-    opt.m_hint = cfg.m;
-    bbb::shard::ShardedAllocator engine(prefix.rest, cfg.n, opt);
-    engine.run(cfg.m, gen);
-    const auto levels = engine.merged_level_counts();
-    for (std::size_t l = 0; l < levels.size(); ++l) {
-      if (levels[l] > 0) hist.add(l, levels[l]);
-    }
-    return hist;
-  }
-  if (const auto protocol = bbb::core::make_protocol(cfg.protocol_spec);
-      dynamic_cast<const bbb::core::BatchedProtocol*>(protocol.get()) != nullptr) {
-    return bbb::core::load_histogram(protocol->run(cfg.m, cfg.n, gen).loads);
-  }
-  const auto alloc =
-      bbb::core::make_streaming_allocator(cfg.protocol_spec, cfg.n, cfg.m, cfg.layout);
-  alloc->set_engine_exclusive(true);
-  alloc->place_batch(cfg.m, gen);
-  alloc->finalize(gen);
-  const bbb::core::BinState& state = alloc->state();
-  const auto& levels = state.level_counts();
-  for (std::uint32_t l = 0; l <= state.max_load(); ++l) {
-    if (levels[l] > 0) hist.add(l, levels[l]);
-  }
-  return hist;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bbb::io::ArgParser args("bbb_sim", "run one protocol experiment and summarize it");
@@ -82,8 +26,9 @@ int main(int argc, char** argv) {
   args.add_flag("seed", std::uint64_t{42}, "master seed");
   args.add_flag("threads", std::uint64_t{0}, "worker threads (0 = hardware)");
   args.add_flag("shards", std::uint64_t{0},
-                "run the sharded multi-core engine with this many worker "
-                "shards (prepends shards[t]: to the protocol spec; 0 = off)");
+                "prepend shards[t]: to the protocol spec (0 = off): t >= 2 "
+                "runs the sharded multi-core engine on t worker threads, "
+                "t = 1 the sequential streaming core under that name");
   args.add_flag("layout", std::string("wide"),
                 "BinState storage: wide|compact (compact streams place_one "
                 "over 8-bit lanes, ~1 byte/bin — the n=2^30 tier)");
@@ -140,7 +85,9 @@ int main(int argc, char** argv) {
     add("probes", s.probes, 1);
     add("probes/ball", [&] {
       bbb::stats::RunningStats per;
-      for (const auto& r : s.records) per.add(r.probes / static_cast<double>(cfg.m));
+      for (const auto& r : s.records) {
+        per.add(cfg.m > 0 ? r.probes / static_cast<double>(cfg.m) : 0.0);
+      }
       return per;
     }(), 4);
     add("max load", s.max_load, 2);
@@ -163,7 +110,7 @@ int main(int argc, char** argv) {
 
     if (args.get_u64("histogram") != 0) {
       std::puts("\nload histogram (replicate 0):");
-      std::fputs(replicate0_histogram(cfg).render_ascii(48).c_str(), stdout);
+      std::fputs(s.records.front().load_histogram.render_ascii(48).c_str(), stdout);
     }
 
     const std::string csv_path = args.get_string("csv");
