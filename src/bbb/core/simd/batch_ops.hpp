@@ -94,8 +94,8 @@ struct SimdOps {
 /// and cached; the override is consulted on every call (test hook).
 [[nodiscard]] const SimdOps& active_ops() noexcept;
 
-/// Shorthand for active_ops().tier — what bbb_bench records as
-/// `machine.simd` and the obs summary prints.
+/// Shorthand for active_ops().tier — what perfbench prints as `simd=` in
+/// its machine line.
 [[nodiscard]] SimdTier active_simd_tier() noexcept;
 
 /// Test hook: clamp dispatch to at most `tier` for this process (pass

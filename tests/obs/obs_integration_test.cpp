@@ -214,6 +214,13 @@ TEST(ObsIntegration, CompactTierReportsLookaheadAndSideTableTraffic) {
   // compact side-table counters must not appear (fold_into registers a
   // machinery counter only when it fired).
   EXPECT_EQ(s.obs.find("state.compact.promotions"), nullptr);
+  // Compact greedy[2] is kernel-eligible, so the wave kernel must have
+  // run, and its fast and fallback paths together must cover every ball:
+  // a silent eligibility regression would otherwise stream per ball.
+  EXPECT_GT(s.obs.counter_value("core.batch.batches"), 0u);
+  EXPECT_EQ(s.obs.counter_value("core.batch.fast_balls") +
+                s.obs.counter_value("core.batch.fallback_balls"),
+            cfg.m);
 }
 
 TEST(ObsIntegration, WideTierStreamsAndReportsLookahead) {

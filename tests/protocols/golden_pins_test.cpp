@@ -137,14 +137,14 @@ TEST(RegistryGoldenPins, CuckooD2B4) {
 // shards[t]: — the sharded engine wrapper (src/bbb/shard/)
 // ---------------------------------------------------------------------------
 
-// shards[1]:spec runs the inner family through the single-shard streaming
-// path, which the engine promises is bit-identical to the sequential
-// core. Pinning it as *equality with the sequential result* (itself
-// pinned above) keeps one source of truth per family while still
-// catching any drift in the shards[1] plumbing. batched is excluded: its
-// sequential spelling is the round-synchronous protocol (rounds = 1)
-// while shards[1] runs the streaming rule form — it gets its own literal
-// pin below.
+// shards[1]:spec is a registry name prefix on the sequential streaming
+// core, so it promises results bit-identical to the bare spec. Pinning
+// it as *equality with the sequential result* (itself pinned above)
+// keeps one source of truth per family while still catching any drift
+// in the shards[1] plumbing. batched is excluded: its sequential
+// spelling is the round-synchronous protocol (rounds = 1) while
+// shards[1] runs the streaming rule form — it gets its own literal pin
+// below.
 TEST(RegistryGoldenPins, ShardsSingleMatchesSequentialEveryFamily) {
   const std::vector<std::string> families = {
       "one-choice",       "greedy[2]",          "left[2]",

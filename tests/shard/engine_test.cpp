@@ -435,7 +435,7 @@ TEST(ShardEngine, SameSeedSameResultIndependentOfScheduling) {
 }
 
 TEST(ShardEngine, ConservesBallsAcrossShardCounts) {
-  for (const std::uint32_t t : {2u, 3u, 5u, 8u}) {
+  for (const std::uint32_t t : {2u, 3u, 4u, 5u, 8u}) {
     SCOPED_TRACE("t=" + std::to_string(t));
     ShardOptions opt;
     opt.shards = t;

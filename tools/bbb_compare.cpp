@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bbb/io/argparse.hpp"
@@ -97,7 +98,12 @@ int main(int argc, char** argv) {
       table.add_num(mean_a, mv.precision);
       table.add_num(mean_b, mv.precision);
       table.add_num(iv.point, mv.precision);
-      table.add_cell("[" + std::to_string(iv.lo) + ", " + std::to_string(iv.hi) + "]");
+      std::string ci = "[";
+      ci.append(std::to_string(iv.lo))
+          .append(", ")
+          .append(std::to_string(iv.hi))
+          .append("]");
+      table.add_cell(std::move(ci));
       table.add_cell(verdict);
     }
     std::fputs(table.render(format).c_str(), stdout);

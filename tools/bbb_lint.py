@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Repo-contract linter: the invariants generic tools cannot check.
 
-Stdlib only, like validate_bench.py / validate_obs.py. Each rule encodes a
-contract a past PR established and the tree now relies on:
+Stdlib only, like validate_obs.py. Each rule encodes a contract a past PR
+established and the tree now relies on:
 
   obs-boundary        src/bbb/core/ never includes bbb/obs/ — the PR 7
                       harvest boundary (core keeps passive plain counters;

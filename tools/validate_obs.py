@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Validate a bbb --obs-out JSON-lines trace against tools/obs_schema.json.
 
-Stdlib only, like tools/validate_bench.py — whose structural checker this
-imports, so the two validators cannot drift apart. Each line must parse as
-JSON, satisfy the common record envelope (schema/event/tool/seq), and
-satisfy the per-event payload schema for its `event`. On top of the
-per-line checks, `seq` must be strictly increasing across the file — the
-one constraint a per-record schema cannot express, and the one that
-catches interleaved or truncated traces.
+Stdlib only (CI runners have no jsonschema package): `check` implements
+the subset of JSON Schema the schema file actually uses — required keys,
+type checks, const/enum, numeric minimums, minLength/minProperties — and
+fails loudly on any other keyword it finds in the schema, so the two files
+cannot drift apart silently. Each line must parse as JSON, satisfy the
+common record envelope (schema/event/tool/seq), and satisfy the per-event
+payload schema for its `event`. On top of the per-line checks, `seq` must
+be strictly increasing across the file — the one constraint a per-record
+schema cannot express, and the one that catches interleaved or truncated
+traces.
 
 Usage: python3 tools/validate_obs.py TRACE.jsonl [SCHEMA.json]
 Exit 0 = valid; 1 = invalid (every violation printed); 2 = usage/IO error.
@@ -18,7 +21,56 @@ import json
 import os
 import sys
 
-from validate_bench import check
+TYPE_MAP = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "boolean": bool,
+}
+
+HANDLED = {
+    "$schema", "$id", "title", "description", "type", "required",
+    "properties", "const", "enum", "minimum", "minLength", "minProperties",
+}
+
+
+def check(value, schema, path, errors):
+    """Append every violation of `schema` by `value` to `errors`."""
+    unknown = set(schema) - HANDLED
+    if unknown:
+        errors.append(f"{path}: validator does not implement schema keywords "
+                      f"{sorted(unknown)} — extend tools/validate_obs.py")
+        return
+    expected = schema.get("type")
+    if expected is not None:
+        py = TYPE_MAP[expected]
+        ok = isinstance(value, py) and not (expected in ("integer", "number")
+                                            and isinstance(value, bool))
+        if not ok:
+            errors.append(f"{path}: expected {expected}, got "
+                          f"{type(value).__name__} ({value!r})")
+            return
+    if "const" in schema and value != schema["const"]:
+        errors.append(f"{path}: expected {schema['const']!r}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{path}: {value!r} not in {schema['enum']}")
+    if "minimum" in schema and isinstance(value, (int, float)) \
+            and value < schema["minimum"]:
+        errors.append(f"{path}: {value} < minimum {schema['minimum']}")
+    if "minLength" in schema and isinstance(value, str) \
+            and len(value) < schema["minLength"]:
+        errors.append(f"{path}: length {len(value)} < {schema['minLength']}")
+    if isinstance(value, dict):
+        for key in schema.get("required", []):
+            if key not in value:
+                errors.append(f"{path}: missing required key '{key}'")
+        if "minProperties" in schema and len(value) < schema["minProperties"]:
+            errors.append(f"{path}: needs >= {schema['minProperties']} properties")
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                check(value[key], sub, f"{path}.{key}", errors)
 
 
 def validate_lines(lines, schema):
