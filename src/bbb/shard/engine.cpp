@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -30,7 +31,7 @@ struct Aborted {};
 constexpr std::uint32_t kConflictBit = 0x80000000U;
 
 /// Requests ahead of the current one whose bins serve prefetches, so the
-/// owner's random stamp and load reads overlap instead of serializing.
+/// owner's random mark-word and load reads overlap instead of serializing.
 constexpr std::size_t kPrefetchAhead = 16;
 
 void prefetch_write(const void* p) noexcept {
@@ -68,6 +69,22 @@ struct Request {
   std::uint32_t probe = 0;  ///< sender's slice probe index: ball * d + slot
 };
 
+/// Serve's reply to request j of a bucket whose bin is already marked.
+/// If the same ball named the bin in an earlier request, the ball either
+/// probed it first or already conflicts there, and that reply is copied;
+/// otherwise an earlier ball probed it and this one conflicts. Draw
+/// appends ball-major, so the ball's earlier requests to this owner are
+/// the run just before j with probe indices >= `ball_probe0` (at most
+/// d - 1 entries).
+std::uint32_t marked_reply(const std::vector<Request>& in, const std::uint32_t* out,
+                           std::size_t j, std::uint32_t ball_probe0,
+                           std::uint32_t load) noexcept {
+  for (std::size_t k = j; k > 0 && in[k - 1].probe >= ball_probe0; --k) {
+    if (in[k - 1].bin == in[j].bin) return out[k - 1];
+  }
+  return load | kConflictBit;
+}
+
 }  // namespace
 
 /// One worker's shard: its bins, its RNG substream, and all per-round
@@ -83,9 +100,10 @@ struct ShardedAllocator::Worker {
   std::vector<std::uint32_t> probe_bins;   ///< slice * d global bins
   std::vector<std::uint32_t> probe_loads;  ///< slice * d replies (load | conflict)
   std::vector<std::uint64_t> aux;          ///< greedy tie-break words
-  /// Per local bin: the round ball id + 1 of its first prober, 0 = none.
-  /// Zeroed again in apply, so it is all-zero between rounds.
-  std::vector<std::uint32_t> stamp;
+  /// One probe mark per local bin, 64 to a word: set by the bin's first
+  /// prober in serve, its word zeroed again in apply, so it is all-zero
+  /// between rounds.
+  std::vector<std::uint64_t> marks;
 
   std::vector<std::vector<Request>> req;        ///< [owner] outbound probes
   std::vector<std::vector<std::uint32_t>> rep;  ///< [owner] replies, parallel to req
@@ -102,7 +120,11 @@ struct ShardedAllocator::Worker {
   std::exception_ptr error;
 
   Worker(std::uint32_t bins, core::StateLayout layout, std::uint32_t shards)
-      : state(bins, layout), stamp(bins, 0), req(shards), rep(shards), win(shards) {}
+      : state(bins, layout),
+        marks((static_cast<std::size_t>(bins) + 63) / 64, 0),
+        req(shards),
+        rep(shards),
+        win(shards) {}
 };
 
 /// The round barrier and the abort flag a failing worker raises.
@@ -225,6 +247,13 @@ void ShardedAllocator::run(std::uint64_t m, rng::Engine& gen) {
   for (std::uint32_t s = 0; s < t; ++s) {
     if (workers_[s]->error) std::rethrow_exception(workers_[s]->error);
   }
+#ifndef NDEBUG
+  // Apply zeroes every mark word its round set: no mark outlives a round.
+  for (const auto& w : workers_) {
+    assert(std::all_of(w->marks.begin(), w->marks.end(),
+                       [](std::uint64_t word) { return word == 0; }));
+  }
+#endif
   for (std::uint32_t s = 0; s < t; ++s) {
     counters_ += workers_[s]->counters;
     phase_times_ += workers_[s]->times;
@@ -301,25 +330,28 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
       barrier();
 
       // --- serve: answer every probe on this shard's bins, sender-major,
-      // which is global ball order. The first prober of a bin stamps it;
-      // a later ball probing it conflicts. Loads are round-start loads:
+      // which is global ball order. The first prober of a bin marks it; a
+      // later ball probing it conflicts. Loads are round-start loads:
       // nothing is applied before apply.
       for (std::uint32_t from = 0; from < t; ++from) {
-        Worker& src = *workers_[from];
-        const std::vector<Request>& in = src.req[s];
-        std::uint32_t* out = src.rep[s].data();
-        const std::uint32_t id0 = slice_lo(from) + 1;
+        const std::vector<Request>& in = workers_[from]->req[s];
+        std::uint32_t* out = workers_[from]->rep[s].data();
         for (std::size_t j = 0; j < in.size(); ++j) {
           if (j + kPrefetchAhead < in.size()) {
             const std::uint32_t ahead = in[j + kPrefetchAhead].bin;
-            prefetch_write(&w.stamp[ahead]);
+            prefetch_write(&w.marks[ahead / 64]);
             w.state.prefetch(ahead);
           }
           const Request q = in[j];
-          const std::uint32_t id = id0 + ball_of_probe(q.probe);
-          std::uint32_t& stamp = w.stamp[q.bin];
-          if (stamp == 0) stamp = id;
-          out[j] = w.state.load(q.bin) | (stamp == id ? 0 : kConflictBit);
+          std::uint64_t& word = w.marks[q.bin / 64];
+          const std::uint64_t bit = std::uint64_t{1} << (q.bin % 64);
+          if ((word & bit) == 0) {
+            word |= bit;
+            out[j] = w.state.load(q.bin);
+          } else {
+            out[j] = marked_reply(in, out, j, ball_of_probe(q.probe) * d,
+                                  w.state.load(q.bin));
+          }
         }
       }
       lap(w.times.serve_ns);
@@ -360,14 +392,16 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
 
       // --- apply: own winners first, then inbound winners sender-major
       // (a fixed order, so the floating-point Phi sum is reproducible);
-      // then clear the stamps this round's requests set.
+      // then zero the mark words this round's requests touched. Every set
+      // mark belongs to a bin probed this round, so whole words clear
+      // exactly.
       for (const std::uint32_t lb : w.win[s]) w.state.add_ball(lb);
       for (std::uint32_t from = 0; from < t; ++from) {
         if (from == s) continue;
         for (const std::uint32_t lb : workers_[from]->win[s]) w.state.add_ball(lb);
       }
       for (std::uint32_t from = 0; from < t; ++from) {
-        for (const Request& q : workers_[from]->req[s]) w.stamp[q.bin] = 0;
+        for (const Request& q : workers_[from]->req[s]) w.marks[q.bin / 64] = 0;
       }
       ++w.counters.rounds;
       lap(w.times.apply_ns);

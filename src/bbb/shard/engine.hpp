@@ -22,16 +22,18 @@
 ///            appends every probe to the request bucket of the bin's
 ///            owner as (owner-local bin, probe index);
 ///   serve    each owner reads its inbound buckets sender-major — global
-///            ball order — stamping the first prober of each of its bins
-///            (round ball id + 1; 0 = none) and writing, parallel to the
-///            request, the *round-start* load plus a conflict bit: a
-///            probe on a bin an earlier ball already probed conflicts;
+///            ball order — setting a probe-mark bit for the first prober
+///            of each of its bins (one bit per bin, 64 to a word) and
+///            writing, parallel to the request, the *round-start* load
+///            plus a conflict bit: a probe on a bin an earlier ball
+///            already probed conflicts (a ball naming a bin twice copies
+///            the reply of its own earlier request);
 ///   decide   each sender scatters its replies, decides every ball with
 ///            no conflict (least-loaded with the pre-drawn tie-break
 ///            word; leftmost for left[d]) and buckets the winner by its
 ///            owner; a conflicted ball goes to the deferred list;
 ///   apply    each owner applies its own winners, then inbound winners
-///            sender-major, and zeroes the stamps this round set (loads
+///            sender-major, and zeroes the mark words this round set (loads
 ///            were read before any winner applied, so every
 ///            non-conflicted ball decided on exactly the loads the
 ///            *sequential* process would show it — no earlier ball

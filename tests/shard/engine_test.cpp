@@ -31,6 +31,7 @@
 #include "bbb/core/rule.hpp"
 #include "bbb/rng/engine.hpp"
 #include "bbb/rng/streams.hpp"
+#include "bbb/shard/counters.hpp"
 #include "bbb/shard/engine.hpp"
 #include "bbb/shard/topology.hpp"
 #include "bbb/sim/runner.hpp"
@@ -245,15 +246,32 @@ std::uint32_t replay_decide(RKind kind, std::uint32_t d,
   return best;
 }
 
+/// What the sequential replay derives: the loads, and the counters the
+/// engine's round protocol must report for the same draws.
+struct Replay {
+  std::vector<std::uint32_t> loads;
+  ShardCounters counters;
+  /// Balls that name one bin twice where an earlier ball of the same round
+  /// already probed that bin: both of the ball's requests meet an
+  /// already-probed bin, and the ball still defers exactly once.
+  std::uint64_t repeats_of_probed_bin = 0;
+};
+
 /// The oracle the engine claims to equal: draw every ball's probes from
 /// the same per-shard substreams in the same per-worker order, then
 /// process the balls ONE AT A TIME in global order (round-major,
 /// worker-major, slice index) against fully up-to-date loads. No rounds,
 /// no messages, no deferral — plain sequential d-choice.
-std::vector<std::uint32_t> sequential_replay(RKind kind, std::uint32_t d,
-                                             std::uint32_t n, std::uint32_t t,
-                                             std::uint32_t round_balls,
-                                             std::uint64_t m, rng::Engine& gen) {
+///
+/// The counters follow from the round protocol's definition, not from its
+/// code: a ball defers iff one of its bins was probed earlier in its round
+/// by an earlier ball. A request to another shard counts as a request and
+/// a reply, a commit to another shard as one message; cleanup runs on
+/// worker 0, so a deferred ball counts against shard 0. A deferred ball's
+/// winner is its sequential one: every later ball that decided in its
+/// round probed bins disjoint from its own.
+Replay sequential_replay(RKind kind, std::uint32_t d, std::uint32_t n, std::uint32_t t,
+                         std::uint32_t round_balls, std::uint64_t m, rng::Engine& gen) {
   const std::uint64_t nested = gen();
   const std::uint64_t round_total =
       std::clamp<std::uint64_t>(round_balls, t, 65535ULL * t);
@@ -261,21 +279,32 @@ std::vector<std::uint32_t> sequential_replay(RKind kind, std::uint32_t d,
   std::vector<rng::Engine> eng;
   eng.reserve(t);
   for (std::uint32_t s = 0; s < t; ++s) eng.push_back(seq.engine(s));
+  const Topology topo(n, t);
 
-  std::vector<std::uint32_t> loads(n, 0);
+  Replay out;
+  out.loads.assign(n, 0);
+  std::vector<std::uint32_t>& loads = out.loads;
+  ShardCounters& c = out.counters;
   std::vector<std::array<std::uint32_t, kMaxShardD>> bins;
   std::vector<std::uint64_t> aux;
+  std::vector<std::uint32_t> sender;      // [ball] the worker that drew it
+  std::vector<std::uint8_t> probed;       // [bin] probed earlier this round
+  std::vector<std::uint64_t> bucket(static_cast<std::size_t>(t) * t);
   const std::uint64_t rounds = (m + round_total - 1) / round_total;
   for (std::uint64_t r = 0; r < rounds; ++r) {
     const std::uint64_t base = r * round_total;
     const std::uint64_t b = std::min(round_total, m - base);
     bins.assign(b, {});
     aux.assign(b, 0);
+    sender.assign(b, 0);
+    probed.assign(n, 0);
+    std::fill(bucket.begin(), bucket.end(), 0);
     for (std::uint32_t s = 0; s < t; ++s) {
       const auto lo = static_cast<std::uint32_t>(s * b / t);
       const auto hi =
           static_cast<std::uint32_t>((static_cast<std::uint64_t>(s) + 1) * b / t);
       for (std::uint32_t i = lo; i < hi; ++i) {
+        sender[i] = s;
         for (std::uint32_t g = 0; g < d; ++g) {
           if (kind == RKind::kLeft) {
             const auto first =
@@ -287,16 +316,51 @@ std::vector<std::uint32_t> sequential_replay(RKind kind, std::uint32_t d,
           } else {
             bins[i][g] = static_cast<std::uint32_t>(rng::uniform_below(eng[s], n));
           }
+          const std::uint32_t owner = topo.shard_of(bins[i][g]);
+          ++bucket[static_cast<std::size_t>(s) * t + owner];
+          if (owner != s) {
+            ++c.cross_shard_probes;
+            c.messages += 2;  // request + reply
+          }
         }
         if (kind == RKind::kGreedy) aux[i] = eng[s]();
       }
+      c.balls += hi - lo;
+      c.probes += static_cast<std::uint64_t>(hi - lo) * d;
+      for (std::uint32_t o = 0; o < t; ++o) {
+        if (o != s) {
+          c.ring_highwater =
+              std::max(c.ring_highwater, bucket[static_cast<std::size_t>(s) * t + o]);
+        }
+      }
     }
+    c.rounds += t;
     for (std::uint64_t j = 0; j < b; ++j) {
+      const auto* first = bins[j].data();
+      const auto* last = first + d;
+      bool deferred = false;
+      bool repeat = false;
+      for (const auto* p = first; p != last; ++p) {
+        deferred = deferred || probed[*p] != 0;
+        repeat = repeat || (probed[*p] != 0 && std::find(p + 1, last, *p) != last);
+      }
+      for (const auto* p = first; p != last; ++p) probed[*p] = 1;
       const std::uint32_t slot = replay_decide(kind, d, loads, bins[j], aux[j]);
+      const std::uint32_t winner = topo.shard_of(bins[j][slot]);
       ++loads[bins[j][slot]];
+      if (deferred) {
+        ++c.deferred_balls;
+        out.repeats_of_probed_bin += repeat ? 1 : 0;
+        for (const auto* p = first; p != last; ++p) {
+          c.messages += topo.shard_of(*p) != 0 ? 2 : 0;  // request + reply
+        }
+        c.messages += winner != 0 ? 1 : 0;  // commit
+      } else {
+        c.messages += winner != sender[j] ? 1 : 0;  // commit
+      }
     }
   }
-  return loads;
+  return out;
 }
 
 struct ReplayCase {
@@ -307,6 +371,9 @@ struct ReplayCase {
   std::uint32_t shards;
   std::uint32_t round_balls;
   std::uint64_t m;
+  /// The row must contain a ball that repeats a bin an earlier ball of its
+  /// round already probed.
+  bool repeats_probed_bin = false;
 };
 
 TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
@@ -329,6 +396,7 @@ TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
       {RKind::kGreedy, 8, "greedy[8]", 4, 2, 32, 1'000},  // d > n: repeated bins
       {RKind::kGreedy, 2, "greedy[2]", 64, 5, 5, 3},      // m < t: empty slices
       {RKind::kLeft, 2, "left[2]", 64, 4, 64, 1},         // a single ball
+      {RKind::kGreedy, 3, "greedy[3]", 6, 3, 12, 601, true},  // repeat, probed earlier
   };
   int index = 0;
   for (const ReplayCase& c : cases) {
@@ -345,9 +413,23 @@ TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
     ShardedAllocator engine(c.spec, c.n, opt);
     engine.run(c.m, gen);
 
-    const std::vector<std::uint32_t> expected =
+    const Replay expected =
         sequential_replay(c.kind, c.d, c.n, c.shards, c.round_balls, c.m, gen_replay);
-    EXPECT_EQ(engine.copy_loads(), expected);
+    EXPECT_EQ(engine.copy_loads(), expected.loads);
+    // Loads alone cannot see over-deferral (cleanup replays a needlessly
+    // deferred ball exactly), so the counters are compared too.
+    const ShardCounters& got = engine.counters();
+    EXPECT_EQ(got.deferred_balls, expected.counters.deferred_balls);
+    EXPECT_EQ(got.cross_shard_probes, expected.counters.cross_shard_probes);
+    EXPECT_EQ(got.messages, expected.counters.messages);
+    EXPECT_EQ(got.rounds, expected.counters.rounds);
+    EXPECT_EQ(got.balls, expected.counters.balls);
+    EXPECT_EQ(got.probes, expected.counters.probes);
+    EXPECT_EQ(got.ring_highwater, expected.counters.ring_highwater);
+    EXPECT_EQ(engine.sync_rounds(), expected.counters.rounds / c.shards);
+    if (c.repeats_probed_bin) {
+      EXPECT_GT(expected.repeats_of_probed_bin, 0u);
+    }
     EXPECT_EQ(engine.balls(), c.m);
     EXPECT_EQ(engine.probes(), c.m * c.d);
     // The engine consumed exactly one word of the caller's stream (the
