@@ -22,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,6 +38,15 @@
 #include "bbb/sim/runner.hpp"
 
 namespace bbb::shard {
+
+// Field-by-field output for a failed counter comparison.
+void PrintTo(const ShardCounters& c, std::ostream* os) {
+  *os << "{rounds=" << c.rounds << " balls=" << c.balls << " probes=" << c.probes
+      << " cross_shard_probes=" << c.cross_shard_probes
+      << " deferred_balls=" << c.deferred_balls << " messages=" << c.messages
+      << " ring_highwater=" << c.ring_highwater << "}";
+}
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -418,14 +428,7 @@ TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
     EXPECT_EQ(engine.copy_loads(), expected.loads);
     // Loads alone cannot see over-deferral (cleanup replays a needlessly
     // deferred ball exactly), so the counters are compared too.
-    const ShardCounters& got = engine.counters();
-    EXPECT_EQ(got.deferred_balls, expected.counters.deferred_balls);
-    EXPECT_EQ(got.cross_shard_probes, expected.counters.cross_shard_probes);
-    EXPECT_EQ(got.messages, expected.counters.messages);
-    EXPECT_EQ(got.rounds, expected.counters.rounds);
-    EXPECT_EQ(got.balls, expected.counters.balls);
-    EXPECT_EQ(got.probes, expected.counters.probes);
-    EXPECT_EQ(got.ring_highwater, expected.counters.ring_highwater);
+    EXPECT_EQ(engine.counters(), expected.counters);
     EXPECT_EQ(engine.sync_rounds(), expected.counters.rounds / c.shards);
     if (c.repeats_probed_bin) {
       EXPECT_GT(expected.repeats_of_probed_bin, 0u);

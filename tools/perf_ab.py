@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""A/B two commits on the repository benchmark (perfbench/).
+"""A/B a revision against the working tree on the repository benchmark.
 
-    python3 tools/perf_ab.py --base <rev> [--head <rev>] --workdir <dir>
-        [--pairs 4] [--workload all] [--seconds <s>] [--results <file>]
+    python3 tools/perf_ab.py --base <rev> --workdir <dir> [--pairs 4]
+        [--results <file>]
     python3 tools/perf_ab.py --summarize <file>
 
-Exports the committed files of `--base` and of `--head` (default: the
-working tree's tracked and unignored files, so uncommitted changes can be
-measured) into `<workdir>/base` and `<workdir>/head` with `git archive`,
-each a fresh directory like the ones the benchmark is judged in. It then
-runs N alternating pairs of `perfbench/run.py --trace 0` per workload,
-odd pairs base first, pair i at `--seed i`; each side's first run builds
-its checkout. `--results` receives one JSON record per run (the file is
-rewritten), and `--summarize` re-prints the verdicts from such a file.
+Exports the committed files of `--base` (with `git archive`) and the
+working tree's tracked files (so uncommitted edits to them are measured)
+into `<workdir>/base` and `<workdir>/head`, each a fresh directory like
+the ones the benchmark is judged in. It then runs N alternating pairs of
+`perfbench/run.py --trace 0` for every BENCHMARK.json workload at its
+`run_seconds`, odd pairs base first, pair i at `--seed i`; each side's
+first run builds its checkout. `--results` receives one JSON record per
+run (the file is rewritten), and `--summarize` re-prints the verdicts
+from such a file.
 
 For every end-to-end metric of BENCHMARK.json (read, never written) it
 prints both medians, the ratio head / base, each side's spread (IQR over
@@ -173,23 +174,24 @@ def report(bench, records, stream=sys.stdout):
     return clean
 
 
-def export(rev, dest):
-    """Fresh export of `rev` (None: the working tree) into `dest`."""
+def export(rev, dest, repo=REPO):
+    """Fresh export of `rev` (None: the working tree's tracked files) of
+    git checkout `repo` into `dest`."""
     if dest.exists():
         if not (dest / STAMP).is_file():
             sys.exit(f"perf_ab: {dest} exists and was not made by perf_ab; refusing to replace it")
         shutil.rmtree(dest)
     dest.mkdir(parents=True)
     if rev is None:
-        files = subprocess.run(["git", "-C", str(REPO), "ls-files", "-z", "-c", "-o",
-                                "--exclude-standard"], capture_output=True, check=True).stdout
+        files = subprocess.run(["git", "-C", str(repo), "ls-files", "-z", "-c"],
+                               capture_output=True, check=True).stdout
         for rel in filter(None, files.decode().split("\0")):
-            src = REPO / rel
-            if src.is_file():
+            src = repo / rel
+            if src.is_file():  # a tracked file deleted in the working tree is left out
                 (dest / rel).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(src, dest / rel)
     else:
-        archive = subprocess.run(["git", "-C", str(REPO), "archive", rev],
+        archive = subprocess.run(["git", "-C", str(repo), "archive", rev],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     (dest / STAMP).write_text(f"{rev or 'working tree'}\n", encoding="utf-8")
@@ -207,13 +209,8 @@ def run_one(root, workload, seed, seconds):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="base revision")
-    parser.add_argument("--head", help="head revision (default: the working tree)")
     parser.add_argument("--workdir", type=Path, help="where the two exports are built")
     parser.add_argument("--pairs", type=int, default=4)
-    parser.add_argument("--workload", default="all",
-                        help="a workload name, or 'all' for every BENCHMARK.json workload")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--results", type=Path,
                         help="write every result record to this JSON-lines file")
     parser.add_argument("--summarize", type=Path,
@@ -230,18 +227,15 @@ def main():
 
     roots = {"base": args.workdir.resolve() / "base", "head": args.workdir.resolve() / "head"}
     export(args.base, roots["base"])
-    export(args.head, roots["head"])
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
-                 else [args.workload])
+    export(None, roots["head"])
     if args.results:
         args.results.write_text("", encoding="utf-8")
     records = []
-    for workload in workloads:
+    for workload in (w["name"] for w in bench["workloads"]):
         for pair in range(1, args.pairs + 1):
             order = ("base", "head") if pair % 2 == 1 else ("head", "base")
             for side in order:
-                result = run_one(roots[side], workload, pair, seconds)
+                result = run_one(roots[side], workload, pair, bench["run_seconds"])
                 record = {"workload": workload, "pair": pair, "side": side,
                           "seed": pair, "result": result}
                 records.append(record)

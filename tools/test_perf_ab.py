@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Tests of perf_ab.py's verdict logic on canned perfbench result lines.
+"""Tests of perf_ab.py: its verdict logic on canned perfbench result
+lines, its exports and its runs.
 
-No benchmark runs here: every case feeds run.py-shaped stdout or result
-records to the parsing and verdict functions, against a two-metric
+No benchmark runs here: the verdict cases feed run.py-shaped stdout or
+result records to the parsing and verdict functions, against a two-metric
 catalogue in BENCHMARK.json's shape, plus one pass over the real
-catalogue through `--summarize`.
+catalogue through `--summarize`. The export cases use a tiny temporary
+git repository, and the run cases a stub `perfbench/run.py`.
 
 Stdlib only (unittest), like the other tool tests.
 Run: python3 tools/test_perf_ab.py
@@ -17,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import unittest
+from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -156,6 +159,84 @@ class Summarize(unittest.TestCase):
                                       capture_output=True, text=True, check=False)
                 self.assertEqual(proc.returncode, code, proc.stdout + proc.stderr)
                 self.assertIn(f"## {name}: {'ok' if code == 0 else 'FAIL'}", proc.stdout)
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], capture_output=True, check=True)
+
+
+def tree(root):
+    """{relative path: text} of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8")
+            for p in root.rglob("*") if p.is_file()}
+
+
+class Export(unittest.TestCase):
+    def setUp(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        self.tmp = Path(tmp.name)
+        self.repo = self.tmp / "repo"
+        self.repo.mkdir()
+        git(self.repo, "init", "-q")
+        (self.repo / ".gitignore").write_text("*.log\n", encoding="utf-8")
+        (self.repo / "a.txt").write_text("committed\n", encoding="utf-8")
+        (self.repo / "sub").mkdir()
+        (self.repo / "sub" / "b.txt").write_text("b\n", encoding="utf-8")
+        (self.repo / "gone.txt").write_text("g\n", encoding="utf-8")
+        git(self.repo, "add", ".")
+        git(self.repo, "commit", "-q", "-m", "c")
+        (self.repo / "a.txt").write_text("edited\n", encoding="utf-8")
+        (self.repo / "gone.txt").unlink()
+        (self.repo / "stray.cpp").write_text("untracked\n", encoding="utf-8")
+        (self.repo / "run.log").write_text("ignored\n", encoding="utf-8")
+
+    def test_working_tree_export_holds_only_tracked_files(self):
+        dest = self.tmp / "head"
+        perf_ab.export(None, dest, self.repo)
+        self.assertEqual(tree(dest), {".gitignore": "*.log\n", "a.txt": "edited\n",
+                                      "sub/b.txt": "b\n", perf_ab.STAMP: "working tree\n"})
+
+    def test_revision_export_holds_its_committed_files(self):
+        dest = self.tmp / "base"
+        perf_ab.export("HEAD", dest, self.repo)
+        self.assertEqual(tree(dest), {".gitignore": "*.log\n", "a.txt": "committed\n",
+                                      "sub/b.txt": "b\n", "gone.txt": "g\n",
+                                      perf_ab.STAMP: "HEAD\n"})
+        # A second export replaces the first one it made ...
+        perf_ab.export(None, dest, self.repo)
+        self.assertEqual(tree(dest)["a.txt"], "edited\n")
+        # ... but never a directory it did not make.
+        foreign = self.tmp / "foreign"
+        foreign.mkdir()
+        with self.assertRaises(SystemExit):
+            perf_ab.export("HEAD", foreign, self.repo)
+        self.assertEqual(tree(foreign), {})
+
+
+class RunOne(unittest.TestCase):
+    def checkout(self, tmp, body):
+        (tmp / "perfbench").mkdir()
+        (tmp / "perfbench" / "run.py").write_text(body, encoding="utf-8")
+        return tmp
+
+    def test_a_run_returns_its_result_line(self):
+        res = result(5e7, 9.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            # The stub fails unless it is called as a benchmark run of w at seed 3.
+            want = ["--workload", "w", "--seed", "3", "--seconds", "45", "--trace", "0"]
+            root = self.checkout(Path(tmp), "import json, sys\n"
+                                 f"if sys.argv[1:] != {want!r}:\n    sys.exit(2)\n"
+                                 f"print('# machine: nproc=4')\nprint(json.dumps({res!r}))\n")
+            self.assertEqual(perf_ab.run_one(root, "w", 3, 45), res)
+
+    def test_a_failed_run_has_no_result(self):
+        res = result(5e7, 9.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = self.checkout(Path(tmp), "import json, sys\n"
+                                 f"print(json.dumps({res!r}))\nsys.exit(1)\n")
+            self.assertIsNone(perf_ab.run_one(root, "w", 1, 45))
 
 
 if __name__ == "__main__":
