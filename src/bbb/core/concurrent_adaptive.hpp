@@ -6,8 +6,8 @@
 /// Why this is correct: the acceptance bound of adaptive for ball i is
 /// ceil(i/n), which is *constant within a stage of n balls* — so a bound
 /// computed from a ball counter that lags by up to n placements is
-/// identical to the fresh one (see stale_adaptive.hpp for the sequential
-/// proof of this). With T concurrent placers the counter snapshot a thread
+/// identical to the fresh one (see stale-adaptive in
+/// protocols/threshold.hpp for the sequential proof of this). With T concurrent placers the counter snapshot a thread
 /// reads lags by at most T in-flight placements; for T <= n the computed
 /// bound is therefore the exact sequential bound, and a CAS on the bin's
 /// load enforces "observed load <= bound" atomically with the increment.

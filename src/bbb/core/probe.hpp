@@ -37,6 +37,7 @@
 /// documents the contract; the batch adapter and tracer opt in, the dyn
 /// engine (which interleaves workload draws on the same engine) does not.
 
+#include <concepts>
 #include <cstdint>
 
 #include "bbb/rng/engine.hpp"
@@ -171,18 +172,29 @@ class LookaheadSource {
   return static_cast<std::uint32_t>(rng::lemire_map(word, n));
 }
 
-/// Sample uniform bins until `accept(bin)` holds; returns the accepted bin
-/// and adds one to `probes` per sample. The caller guarantees some bin is
-/// acceptable (every threshold/adaptive termination argument lives at the
-/// call site).
-template <rng::Engine64 Engine, typename AcceptFn>
-std::uint32_t probe_until(Engine& gen, std::uint32_t n, std::uint64_t& probes,
+/// Sample bins with `draw(gen)` until `accept(bin)` holds; returns the
+/// accepted bin and adds one to `probes` per sample. The caller guarantees
+/// some bin is acceptable (every threshold/adaptive termination argument
+/// lives at the call site).
+template <rng::Engine64 Engine, typename DrawFn, typename AcceptFn>
+  requires std::invocable<DrawFn&, Engine&>
+std::uint32_t probe_until(Engine& gen, DrawFn&& draw, std::uint64_t& probes,
                           AcceptFn&& accept) {
   for (;;) {
-    const auto bin = static_cast<std::uint32_t>(rng::uniform_below(gen, n));
+    const std::uint32_t bin = draw(gen);
     ++probes;
     if (accept(bin)) return bin;
   }
+}
+
+/// probe_until over uniform bins in [0, n).
+template <rng::Engine64 Engine, typename AcceptFn>
+std::uint32_t probe_until(Engine& gen, std::uint32_t n, std::uint64_t& probes,
+                          AcceptFn&& accept) {
+  return probe_until(
+      gen,
+      [n](Engine& g) { return static_cast<std::uint32_t>(rng::uniform_below(g, n)); },
+      probes, accept);
 }
 
 /// Exact comparison of normalized loads l_a/c_a vs l_b/c_b by

@@ -7,17 +7,13 @@
 
 #include "bbb/core/spec.hpp"
 
-#include "bbb/core/protocols/adaptive.hpp"
 #include "bbb/core/protocols/batched.hpp"
 #include "bbb/core/protocols/cuckoo.hpp"
 #include "bbb/core/protocols/d_choice.hpp"
-#include "bbb/core/protocols/doubling_threshold.hpp"
 #include "bbb/core/protocols/left_d.hpp"
 #include "bbb/core/protocols/memory_dk.hpp"
 #include "bbb/core/protocols/one_choice.hpp"
 #include "bbb/core/protocols/self_balancing.hpp"
-#include "bbb/core/protocols/skewed_adaptive.hpp"
-#include "bbb/core/protocols/stale_adaptive.hpp"
 #include "bbb/core/protocols/threshold.hpp"
 #include "bbb/shard/engine.hpp"
 
@@ -114,13 +110,17 @@ RuleRecipe parse_rule(const std::string& spec) {
     };
     return r;
   }
+  // The threshold rule's families differ only in the clock feeding the
+  // bound's count c, the slack and the probe source (protocols/threshold.hpp).
+  using Clock = ThresholdRule::Clock;
   if (s.name == "threshold") {
     const std::uint32_t slack = optional_slack(s, spec);
     r.name = slack_name(s.name, slack);
     // No hint: provision for a net population of n balls, so threshold[c]
     // accepts load <= ceil(n/n) + c - 1 = c.
-    r.build = [slack](std::uint32_t n, std::uint64_t m_hint) {
-      return std::make_unique<ThresholdRule>(n, m_hint == 0 ? n : m_hint, slack);
+    r.build = [slack, name = r.name](std::uint32_t n, std::uint64_t m_hint) {
+      return std::make_unique<ThresholdRule>(name, n, Clock::kFixed,
+                                             m_hint == 0 ? n : m_hint, slack);
     };
     return r;
   }
@@ -130,34 +130,35 @@ RuleRecipe parse_rule(const std::string& spec) {
     }
     const std::uint64_t guess = s.args.empty() ? 0 : s.args[0];
     r.name = bracketed(s.name, {guess});
-    r.build = [guess](std::uint32_t n, std::uint64_t) {
-      return std::make_unique<DoublingThresholdRule>(n, guess);
+    r.build = [guess, name = r.name](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<ThresholdRule>(name, n, Clock::kDoubling,
+                                             guess == 0 ? n : guess);
     };
     return r;
   }
   if (s.name == "adaptive" || s.name == "adaptive-net" || s.name == "adaptive-total") {
     const std::uint32_t slack = optional_slack(s, spec);
-    const AdaptiveCount count =
-        s.name == "adaptive-net" ? AdaptiveCount::kNet : AdaptiveCount::kTotal;
+    const Clock clock = s.name == "adaptive-net" ? Clock::kNet : Clock::kPlaced;
     r.name = slack_name(s.name, slack);
-    r.build = [slack, count, base = s.name](std::uint32_t, std::uint64_t) {
-      return std::make_unique<AdaptiveRule>(slack, count, base);
+    r.build = [slack, clock, name = r.name](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<ThresholdRule>(name, n, clock, 1, slack);
     };
     return r;
   }
   if (s.name == "stale-adaptive") {
     const std::uint32_t delta = positive(arg_at(s, 0, spec), spec);
     r.name = bracketed(s.name, {delta});
-    r.build = [delta](std::uint32_t n, std::uint64_t) {
-      return std::make_unique<StaleAdaptiveRule>(n, delta);
+    r.build = [delta, name = r.name](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<ThresholdRule>(name, n, Clock::kPlaced, delta);
     };
     return r;
   }
   if (s.name == "skewed-adaptive") {
     const std::uint32_t s100 = arg_at(s, 0, spec);
     r.name = bracketed(s.name, {s100});
-    r.build = [s100](std::uint32_t n, std::uint64_t) {
-      return std::make_unique<SkewedAdaptiveRule>(n, static_cast<double>(s100) / 100.0);
+    r.build = [s100, name = r.name](std::uint32_t n, std::uint64_t) {
+      return std::make_unique<ThresholdRule>(name, n, Clock::kPlaced, 1, 1,
+                                             static_cast<double>(s100) / 100.0);
     };
     return r;
   }

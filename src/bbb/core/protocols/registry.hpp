@@ -22,20 +22,22 @@
 ///   greedy[d]            e.g. greedy[2]
 ///   left[d]              e.g. left[4]
 ///   memory[d,k]          e.g. memory[1,1]
-///   threshold            = threshold[1]
-///   threshold[slack]
-///   doubling-threshold[guess]   guess-and-double unknown-m variant (0 = n)
-///   adaptive             = adaptive[1]
-///   adaptive[slack]
-///   adaptive-net         = adaptive-net[1]; bound from the net ball count
-///   adaptive-net[slack]
-///   adaptive-total       = adaptive-total[1]; explicit total-count variant
-///   adaptive-total[slack]
-///   stale-adaptive[delta]
-///   skewed-adaptive[s*100]   Zipf(s) probe bias, s scaled by 100
 ///   batched[capacity]
 ///   self-balancing
 ///   cuckoo[d,k]          e.g. cuckoo[2,4]
+/// and the threshold rule (one ThresholdRule, protocols/threshold.hpp),
+/// whose specs differ only in the ball clock feeding its bound:
+///   threshold            = threshold[1]; fixed m (the hint, else n)
+///   threshold[slack]
+///   doubling-threshold[guess]   guess-and-double unknown-m variant (0 = n)
+///   adaptive             = adaptive[1]; placements so far
+///   adaptive[slack]
+///   adaptive-net         = adaptive-net[1]; balls present (net count)
+///   adaptive-net[slack]
+///   adaptive-total       = adaptive-total[1]; explicit placement count
+///   adaptive-total[slack]
+///   stale-adaptive[delta]    placement count republished every delta
+///   skewed-adaptive[s*100]   placements so far, Zipf(s) probes, s scaled by 100
 ///
 /// Any spec may carry a heterogeneous-capacity prefix
 ///   capacities=c0,c1,...:spec    e.g. capacities=1,2,4,8:greedy[2]
@@ -56,7 +58,7 @@
 /// streaming capacity-bounded form). Cannot combine with `capacities=`.
 ///
 /// The three adaptive spellings are identical on arrivals-only streams;
-/// net and total only diverge once departures arrive (see adaptive.hpp).
+/// net and total only diverge once departures arrive.
 
 #include <cstdint>
 #include <memory>

@@ -167,9 +167,9 @@ class PlacementRule {
  protected:
   /// The batch decision loop behind place_batch. The default is literally
   /// `count` place_one calls — so total_placed_ advances ball by ball,
-  /// which rules whose acceptance bound reads it as the running ball index
-  /// (doubling-threshold's guess clock, stale-adaptive's broadcast clock)
-  /// depend on mid-batch. Kernel-capable rules override it to place waves
+  /// which the threshold rule's placement clocks (adaptive's stages,
+  /// stale-adaptive's publications, doubling-threshold's guess) depend on
+  /// mid-batch. Kernel-capable rules override it to place waves
   /// when eligible; overrides must leave every counter (total_placed_
   /// included) and the consumed randomness exactly as the loop would.
   virtual void do_place_batch(BinState& state, std::uint64_t count,

@@ -15,9 +15,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bbb/core/protocols/adaptive.hpp"
 #include "bbb/core/protocols/registry.hpp"
-#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/core/rule.hpp"
 #include "bbb/rng/engine.hpp"
 #include "bbb/rng/xoshiro256.hpp"

@@ -15,10 +15,10 @@
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocol.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
 #include "bbb/core/protocols/cuckoo.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/protocols/self_balancing.hpp"
+#include "bbb/core/protocols/threshold.hpp"
 
 namespace bbb::dyn {
 namespace {
@@ -177,8 +177,8 @@ TEST(DynAdaptive, BoundsDivergeUnderChurn) {
   rng::Engine gen(5);
   const auto net = make_streaming_allocator("adaptive-net", n);
   const auto total = make_streaming_allocator("adaptive-total", n);
-  const auto& net_rule = dynamic_cast<const core::AdaptiveRule&>(net->rule());
-  const auto& total_rule = dynamic_cast<const core::AdaptiveRule&>(total->rule());
+  const auto& net_rule = dynamic_cast<const core::ThresholdRule&>(net->rule());
+  const auto& total_rule = dynamic_cast<const core::ThresholdRule&>(total->rule());
   for (std::uint32_t i = 0; i < 4 * n; ++i) {
     net->place(gen);
     total->place(gen);
@@ -265,12 +265,12 @@ TEST(DynSelfBalancing, ChurnMemoryStaysProportionalToPopulation) {
 }
 
 TEST(StreamingAllocator, RejectsRuleBuiltForDifferentN) {
-  // n-bound rules (group partitions, resident tables, fixed bounds)
-  // declare their n; pairing them with a mismatched BinState is an error,
+  // n-bound rules (group partitions, resident tables, the threshold
+  // rule's stage boundaries) declare their n; pairing them with a mismatched BinState is an error,
   // not out-of-bounds indexing.
   for (const char* spec : {"left[2]", "cuckoo[2,4]", "skewed-adaptive[50]",
                            "threshold", "doubling-threshold[0]",
-                           "stale-adaptive[2]"}) {
+                           "stale-adaptive[2]", "adaptive", "adaptive-net"}) {
     EXPECT_THROW(StreamingAllocator(64, core::make_rule(spec, 32)),
                  std::invalid_argument)
         << spec;

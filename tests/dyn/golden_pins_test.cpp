@@ -1,8 +1,10 @@
-/// Bit-for-bit pins of the dyn engine's last snapshot for five
-/// allocator x workload pairs, one per departure and arrival path: the
-/// ball registry (uniform and oldest victims), the supermarket's
-/// busy-bin victims, atomic weighted chains, and cuckoo's bin-occupancy
-/// override. Like tests/protocols/golden_pins_test.cpp, the values are
+/// Bit-for-bit pins of the dyn engine's last snapshot for nine
+/// allocator x workload pairs: one per departure and arrival path (the
+/// ball registry with uniform and oldest victims, the supermarket's
+/// busy-bin victims, atomic weighted chains, cuckoo's bin-occupancy
+/// override), plus one per ball clock of the threshold rule under churn
+/// (fixed, live net count, placement count published every delta,
+/// Zipf-probed placement count, doubling guess). Like tests/protocols/golden_pins_test.cpp, the values are
 /// pins captured from this implementation (n = 64, 1000 warm-up + 4000
 /// measured events, seed 42, replicate 0), so an event-loop refactor that
 /// reorders a draw, a probe or a victim shows up here as a diff. The
@@ -78,6 +80,34 @@ TEST(DynGoldenPins, CuckooChurn) {
   expect_pin("cuckoo[2,8]", "churn[256]",
              {.balls = 256, .max_load = 8, .min_load = 0, .probes = 5256,
               .psi = 0x1.f8p+8, .log_phi = 0x1.0ad02d4f7e395p+2});
+}
+
+// Churn pins for the threshold-rule clocks the rows above leave out:
+// each clock keeps counting placements (or stays fixed) while balls leave.
+TEST(DynGoldenPins, StaleAdaptiveDelta8Churn) {
+  expect_pin("stale-adaptive[8]", "churn[256]",
+             {.balls = 256, .max_load = 11, .min_load = 0, .probes = 2661,
+              .psi = 0x1.36p+8, .log_phi = 0x1.0acf8e478a68ep+2});
+}
+
+TEST(DynGoldenPins, SkewedAdaptive50Churn) {
+  expect_pin("skewed-adaptive[50]", "churn[256]",
+             {.balls = 256, .max_load = 22, .min_load = 0, .probes = 2872,
+              .psi = 0x1.a3p+9, .log_phi = 0x1.0ad13400515d3p+2});
+}
+
+TEST(DynGoldenPins, DoublingThresholdChurnOldest) {
+  expect_pin("doubling-threshold[0]", "churn-oldest[256]",
+             {.balls = 256, .max_load = 8, .min_load = 1, .probes = 2653,
+              .psi = 0x1.94p+7, .log_phi = 0x1.0acf3701badfcp+2});
+}
+
+// No m hint: the fixed bound is ceil(n/n) + 5 - 1 = 5, room for 320 balls,
+// so the 256-ball churn population never deadlocks it.
+TEST(DynGoldenPins, ThresholdSlack5Churn) {
+  expect_pin("threshold[5]", "churn[256]",
+             {.balls = 256, .max_load = 6, .min_load = 0, .probes = 3158,
+              .psi = 0x1.5cp+7, .log_phi = 0x1.0acf2092e5decp+2});
 }
 
 }  // namespace

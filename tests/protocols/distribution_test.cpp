@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/stats/histogram.hpp"
@@ -91,10 +90,10 @@ TEST(LoadDistribution, AdaptiveMinLoadTracksStages) {
   constexpr std::uint32_t stages = 32;
   rng::Engine gen(34);
   BinState state(n);
-  AdaptiveRule rule;
+  const auto rule = make_rule("adaptive", n);
   std::uint32_t prev_min = 0;
   for (std::uint32_t tau = 1; tau <= stages; ++tau) {
-    for (std::uint32_t b = 0; b < n; ++b) (void)rule.place_one(state, gen);
+    for (std::uint32_t b = 0; b < n; ++b) (void)rule->place_one(state, gen);
     const std::uint32_t cur_min = min_load(state.loads());
     EXPECT_GE(cur_min, prev_min) << "stage " << tau;
     prev_min = cur_min;

@@ -1,4 +1,5 @@
-#include "bbb/core/protocols/doubling_threshold.hpp"
+/// doubling-threshold[guess]: the threshold rule whose count is a guess M,
+/// doubled once M balls were placed.
 
 #include <gtest/gtest.h>
 
@@ -8,31 +9,48 @@
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/registry.hpp"
+#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
 namespace {
 
+/// The bound the next ball of a registry-built doubling rule uses.
+std::uint32_t next_bound(const PlacementRule& rule, const BinState& state) {
+  return dynamic_cast<const ThresholdRule&>(rule).accept_bound(state);
+}
+
 TEST(DoublingThreshold, Validation) {
-  EXPECT_THROW(DoublingThresholdRule(0), std::invalid_argument);
+  using Clock = ThresholdRule::Clock;
+  EXPECT_THROW(ThresholdRule("doubling-threshold[1]", 0, Clock::kDoubling, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_rule("doubling-threshold", 0), std::invalid_argument);
+  EXPECT_THROW(ThresholdRule("doubling-threshold[0]", 8, Clock::kDoubling, 0),
+               std::invalid_argument);  // the registry resolves guess 0 to n
 }
 
 TEST(DoublingThreshold, GuessDefaultsToN) {
-  DoublingThresholdRule rule(64);
-  EXPECT_EQ(rule.guess(), 64u);
-  EXPECT_EQ(rule.accept_bound(), 1u);
+  constexpr std::uint32_t n = 64;
+  BinState state(n);
+  const auto rule = make_rule("doubling-threshold[0]", n);
+  rng::Engine gen(2);
+  // Guess n: bound ceil(n/n) = 1 for balls 1..n, then ceil(2n/n) = 2.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(next_bound(*rule, state), 1u) << i;
+    (void)rule->place_one(state, gen);
+  }
+  EXPECT_EQ(next_bound(*rule, state), 2u);
 }
 
 TEST(DoublingThreshold, GuessDoublesWhenExhausted) {
   constexpr std::uint32_t n = 16;
   BinState state(n);
-  DoublingThresholdRule rule(n);
+  const auto rule = make_rule("doubling-threshold", n);
   rng::Engine gen(3);
-  for (std::uint32_t i = 0; i < n; ++i) (void)rule.place_one(state, gen);
-  EXPECT_EQ(rule.guess(), n);  // doubling happens lazily on the next place
-  (void)rule.place_one(state, gen);
-  EXPECT_EQ(rule.guess(), 2 * n);
-  EXPECT_EQ(rule.accept_bound(), 2u);
+  for (std::uint32_t i = 0; i < n; ++i) (void)rule->place_one(state, gen);
+  EXPECT_EQ(next_bound(*rule, state), 2u);  // ball n + 1 sees the guess 2n
+  (void)rule->place_one(state, gen);
+  EXPECT_EQ(next_bound(*rule, state), 2u);
 }
 
 TEST(DoublingThreshold, ConservesBalls) {
@@ -75,9 +93,14 @@ TEST(DoublingThreshold, AllocationTimeStaysLinear) {
 }
 
 TEST(DoublingThreshold, ExplicitInitialGuessHonored) {
-  DoublingThresholdRule rule(10, 100);
-  EXPECT_EQ(rule.guess(), 100u);
-  EXPECT_EQ(rule.accept_bound(), 10u);
+  BinState state(10);
+  const auto rule = make_rule("doubling-threshold[100]", 10);
+  rng::Engine gen(4);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(next_bound(*rule, state), 10u) << i;  // guess 100 for balls 1..100
+    (void)rule->place_one(state, gen);
+  }
+  EXPECT_EQ(next_bound(*rule, state), 20u);  // then 200
 }
 
 TEST(DoublingThreshold, HugeGuessSaturatesInsteadOfTruncating) {
@@ -86,26 +109,39 @@ TEST(DoublingThreshold, HugeGuessSaturatesInsteadOfTruncating) {
   constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
   constexpr std::uint32_t kMax32 = std::numeric_limits<std::uint32_t>::max();
   for (const std::uint64_t guess : {kMax64, std::uint64_t{1} << 63}) {
-    DoublingThresholdRule rule(32, guess);
-    EXPECT_EQ(rule.accept_bound(), kMax32) << guess;
-    rng::Engine gen(3);
     const std::string spec = "doubling-threshold[" + std::to_string(guess) + "]";
+    EXPECT_EQ(next_bound(*make_rule(spec, 32), BinState(32)), kMax32) << guess;
+    rng::Engine gen(3);
     const AllocationResult res = make_protocol(spec)->run(60, 32, gen);
     EXPECT_EQ(res.balls, 60u) << guess;
     EXPECT_EQ(res.probes, 60u) << guess;  // every bin qualifies, one probe per ball
   }
-  EXPECT_EQ(DoublingThresholdRule::bound_for(kMax64, 1), kMax32);
-  EXPECT_EQ(DoublingThresholdRule::bound_for(std::uint64_t{kMax32} + 1, 2), 2147483648u);
+  EXPECT_EQ(ThresholdRule::bound_for(kMax64, 1, 1), kMax32);
+  EXPECT_EQ(ThresholdRule::bound_for(std::uint64_t{kMax32} + 1, 2, 1), 2147483648u);
 }
 
 TEST(DoublingThreshold, DoublingSaturatesInsteadOfWrapping) {
-  // guess *= 2 past 2^63 wraps to 0, after which the doubling loop never
-  // exits. The saturated doubling stops at UINT64_MAX.
+  // The guess doubles exactly when the placement count reaches it, so it
+  // could pass 2^63 only after 2^63 placements; below that the doubling is
+  // exact: guess 3 on one bin gives bounds 3, 6, 12 over balls 1..12.
+  BinState state(1);
+  const auto rule = make_rule("doubling-threshold[3]", 1);
+  rng::Engine gen(5);
+  for (const std::uint32_t bound : {3u, 3u, 3u, 6u, 6u, 6u, 12u, 12u, 12u, 12u, 12u, 12u}) {
+    EXPECT_EQ(next_bound(*rule, state), bound) << state.balls();
+    (void)rule->place_one(state, gen);
+  }
+  EXPECT_EQ(next_bound(*rule, state), 24u);
+  // Guesses at the top of the range keep the bound saturated instead of
+  // wrapping to a bound below every load.
   constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
-  EXPECT_EQ(DoublingThresholdRule::doubled(3), 6u);
-  EXPECT_EQ(DoublingThresholdRule::doubled(kMax64 / 2), kMax64 - 1);
-  EXPECT_EQ(DoublingThresholdRule::doubled(std::uint64_t{1} << 63), kMax64);
-  EXPECT_EQ(DoublingThresholdRule::doubled(kMax64), kMax64);
+  for (const std::uint64_t guess : {kMax64 / 2, std::uint64_t{1} << 63, kMax64}) {
+    BinState one(1);
+    const auto top = make_rule("doubling-threshold[" + std::to_string(guess) + "]", 1);
+    for (int i = 0; i < 3; ++i) (void)top->place_one(one, gen);
+    EXPECT_EQ(next_bound(*top, one), std::numeric_limits<std::uint32_t>::max()) << guess;
+    EXPECT_EQ(top->probes(), 3u) << guess;
+  }
 }
 
 TEST(DoublingThreshold, RegistryRoundTrip) {

@@ -1,4 +1,4 @@
-#include "bbb/core/protocols/skewed_adaptive.hpp"
+/// skewed-adaptive[s*100]: the threshold rule probing Zipf(s) bins.
 
 #include <gtest/gtest.h>
 
@@ -6,14 +6,18 @@
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/registry.hpp"
+#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
 namespace {
 
 TEST(SkewedAdaptive, Validation) {
-  EXPECT_THROW(SkewedAdaptiveRule(0, 1.0), std::invalid_argument);
-  EXPECT_THROW(SkewedAdaptiveRule(8, -1.0), std::invalid_argument);
+  using Clock = ThresholdRule::Clock;
+  EXPECT_THROW(ThresholdRule("skewed-adaptive[100]", 0, Clock::kPlaced, 1, 1, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(ThresholdRule("skewed-adaptive[100]", 8, Clock::kPlaced, 1, 1, -1.0),
+               std::invalid_argument);
 }
 
 // The load guarantee is distribution-free: it must hold for every skew.
@@ -78,11 +82,11 @@ TEST(SkewedAdaptive, StreamingAndBatchAgree) {
   constexpr std::uint64_t m = 500;
   rng::Engine g1(21), g2(21);
   BinState state(n);
-  SkewedAdaptiveRule rule(n, 0.5);
-  for (std::uint64_t i = 0; i < m; ++i) (void)rule.place_one(state, g1);
+  const auto rule = make_rule("skewed-adaptive[50]", n);
+  for (std::uint64_t i = 0; i < m; ++i) (void)rule->place_one(state, g1);
   const auto batch = make_protocol("skewed-adaptive[50]")->run(m, n, g2);
   EXPECT_EQ(state.loads(), batch.loads);
-  EXPECT_EQ(rule.probes(), batch.probes);
+  EXPECT_EQ(rule->probes(), batch.probes);
 }
 
 TEST(SkewedAdaptive, NameRoundTripsThroughRegistry) {

@@ -1,18 +1,23 @@
-#include "bbb/core/protocols/stale_adaptive.hpp"
+/// stale-adaptive[delta]: the threshold rule with a placement count
+/// republished every delta placements.
 
 #include <gtest/gtest.h>
 
 #include "bbb/core/metrics.hpp"
 #include "bbb/core/protocols/registry.hpp"
+#include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/streams.hpp"
 
 namespace bbb::core {
 namespace {
 
 TEST(StaleAdaptive, Validation) {
-  EXPECT_THROW(StaleAdaptiveRule(0, 1), std::invalid_argument);
-  EXPECT_THROW(StaleAdaptiveRule(8, 0), std::invalid_argument);
-  EXPECT_THROW(StaleAdaptiveRule(8, 9), std::invalid_argument);  // delta > n
+  using Clock = ThresholdRule::Clock;
+  EXPECT_THROW(ThresholdRule("stale-adaptive[1]", 0, Clock::kPlaced, 1), std::invalid_argument);
+  EXPECT_THROW(ThresholdRule("stale-adaptive[0]", 8, Clock::kPlaced, 0), std::invalid_argument);
+  EXPECT_THROW(ThresholdRule("stale-adaptive[9]", 8, Clock::kPlaced, 9),
+               std::invalid_argument);  // delta > n
+  EXPECT_THROW((void)make_rule("stale-adaptive[9]", 8), std::invalid_argument);
   EXPECT_THROW((void)make_protocol("stale-adaptive[0]"), std::invalid_argument);
 }
 
@@ -64,17 +69,16 @@ INSTANTIATE_TEST_SUITE_P(DeltaSweep, StaleDeltaTest,
 TEST(StaleAdaptive, BoundLagsPublication) {
   constexpr std::uint32_t n = 8;
   BinState state(n);
-  StaleAdaptiveRule rule(n, 8);  // publish once per stage
+  const auto rule = make_rule("stale-adaptive[8]", n);  // publish once per stage
+  const auto& threshold = dynamic_cast<const ThresholdRule&>(*rule);
   rng::Engine gen(3);
-  EXPECT_EQ(rule.accept_bound(), 1u);
+  EXPECT_EQ(threshold.accept_bound(state), 1u);
   for (int i = 0; i < 7; ++i) {
-    (void)rule.place_one(state, gen);
-    EXPECT_EQ(rule.published_count(), 0u);  // not yet published
-    EXPECT_EQ(rule.accept_bound(), 1u);
+    (void)rule->place_one(state, gen);
+    EXPECT_EQ(threshold.accept_bound(state), 1u);  // count 0 still in force
   }
-  (void)rule.place_one(state, gen);  // 8th ball triggers publication
-  EXPECT_EQ(rule.published_count(), 8u);
-  EXPECT_EQ(rule.accept_bound(), 2u);
+  (void)rule->place_one(state, gen);  // 8th ball publishes count 8 for ball 9
+  EXPECT_EQ(threshold.accept_bound(state), 2u);
 }
 
 TEST(StaleAdaptive, NamesRoundTrip) {

@@ -2,6 +2,8 @@
 ///   * the max-load guarantee ceil(m/n) + 1 (both, by construction)
 ///   * the integer acceptance rule == the paper's real-valued rule
 ///   * adaptive's bound evolves as ceil(i/n), threshold's is fixed
+///   * every clock of the one threshold rule gives the closed-form bound
+///     ceil(c/n) + slack - 1, departures included
 ///   * slack-0 variants achieve the perfectly tight bound ceil(m/n)
 ///   * allocation-time behaviour (statistical, generous margins)
 
@@ -9,11 +11,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <string>
 #include <tuple>
 
 #include "bbb/core/metrics.hpp"
-#include "bbb/core/protocols/adaptive.hpp"
 #include "bbb/core/protocols/registry.hpp"
 #include "bbb/core/protocols/threshold.hpp"
 #include "bbb/rng/streams.hpp"
@@ -21,6 +24,11 @@
 
 namespace bbb::core {
 namespace {
+
+/// The bound the next ball of a registry-built threshold-family rule uses.
+std::uint32_t next_bound(const PlacementRule& rule, const BinState& state) {
+  return dynamic_cast<const ThresholdRule&>(rule).accept_bound(state);
+}
 
 // ----------------------------------------------------- integer-rule identity
 
@@ -96,13 +104,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Adaptive, BoundStartsAtSlackAndBumpsPerStage) {
   BinState state(4);
-  AdaptiveRule rule(1);
+  const auto rule = make_rule("adaptive", 4);
   rng::Engine gen(3);
-  EXPECT_EQ(rule.accept_bound(state), 1u);  // balls 1..4: ceil(i/4) = 1
-  for (int i = 0; i < 4; ++i) rule.place_one(state, gen);
-  EXPECT_EQ(rule.accept_bound(state), 2u);  // balls 5..8: ceil(i/4) = 2
-  for (int i = 0; i < 4; ++i) rule.place_one(state, gen);
-  EXPECT_EQ(rule.accept_bound(state), 3u);
+  EXPECT_EQ(next_bound(*rule, state), 1u);  // balls 1..4: ceil(i/4) = 1
+  for (int i = 0; i < 4; ++i) rule->place_one(state, gen);
+  EXPECT_EQ(next_bound(*rule, state), 2u);  // balls 5..8: ceil(i/4) = 2
+  for (int i = 0; i < 4; ++i) rule->place_one(state, gen);
+  EXPECT_EQ(next_bound(*rule, state), 3u);
 }
 
 TEST(Adaptive, EveryPrefixRespectsItsOwnBound) {
@@ -110,10 +118,10 @@ TEST(Adaptive, EveryPrefixRespectsItsOwnBound) {
   // no bin may exceed ceil(i/n) + 1.
   constexpr std::uint32_t n = 16;
   BinState state(n);
-  AdaptiveRule rule(1);
+  const auto rule = make_rule("adaptive", n);
   rng::Engine gen(11);
   for (std::uint64_t i = 1; i <= 20 * n; ++i) {
-    rule.place_one(state, gen);
+    rule->place_one(state, gen);
     const auto cap = static_cast<std::uint32_t>(ceil_div(i, n) + 1);
     for (std::uint32_t b = 0; b < n; ++b) {
       ASSERT_LE(state.load(b), cap) << "after ball " << i;
@@ -126,11 +134,11 @@ TEST(Adaptive, StreamingMatchesBatchProtocol) {
   constexpr std::uint64_t m = 500;
   rng::Engine g1(21), g2(21);
   BinState state(n);
-  AdaptiveRule rule(1);
-  for (std::uint64_t i = 0; i < m; ++i) rule.place_one(state, g1);
+  const auto rule = make_rule("adaptive", n);
+  for (std::uint64_t i = 0; i < m; ++i) rule->place_one(state, g1);
   const AllocationResult batch = make_protocol("adaptive")->run(m, n, g2);
   EXPECT_EQ(state.loads(), batch.loads);
-  EXPECT_EQ(rule.probes(), batch.probes);
+  EXPECT_EQ(rule->probes(), batch.probes);
 }
 
 TEST(Adaptive, RejectsZeroBins) {
@@ -143,14 +151,11 @@ TEST(Adaptive, RejectsZeroBins) {
 // ------------------------------------------------------- threshold mechanics
 
 TEST(Threshold, AcceptBoundIsCeilOfAverage) {
-  ThresholdRule a(10, 100);
-  EXPECT_EQ(a.accept_bound(), 10u);
-  ThresholdRule b(10, 101);
-  EXPECT_EQ(b.accept_bound(), 11u);
-  ThresholdRule c(10, 100, 2);
-  EXPECT_EQ(c.accept_bound(), 11u);
-  ThresholdRule d(10, 100, 0);
-  EXPECT_EQ(d.accept_bound(), 9u);
+  const BinState state(10);
+  EXPECT_EQ(next_bound(*make_rule("threshold", 10, 100), state), 10u);
+  EXPECT_EQ(next_bound(*make_rule("threshold", 10, 101), state), 11u);
+  EXPECT_EQ(next_bound(*make_rule("threshold[2]", 10, 100), state), 11u);
+  EXPECT_EQ(next_bound(*make_rule("threshold[0]", 10, 100), state), 9u);
 }
 
 TEST(Threshold, DeadlockedBoundThrowsInsteadOfSpinning) {
@@ -158,27 +163,28 @@ TEST(Threshold, DeadlockedBoundThrowsInsteadOfSpinning) {
   // ball the fixed bound can never admit another, and the rule reports
   // the deadlock in O(1) rather than probing forever.
   BinState state(2);
-  ThresholdRule rule(2, 2, 0);
+  const auto rule = make_rule("threshold[0]", 2, 2);
   rng::Engine gen(5);
-  rule.place_one(state, gen);
-  rule.place_one(state, gen);
+  rule->place_one(state, gen);
+  rule->place_one(state, gen);
   EXPECT_EQ(state.max_load(), 1u);
-  EXPECT_THROW(rule.place_one(state, gen), std::logic_error);
+  EXPECT_THROW(rule->place_one(state, gen), std::logic_error);
   // A departure re-opens capacity (the dynamic reading of the bound).
   state.remove_ball(0);
-  EXPECT_NO_THROW(rule.place_one(state, gen));
+  EXPECT_NO_THROW(rule->place_one(state, gen));
 }
 
 TEST(Threshold, SlackZeroRejectedOnlyForZeroM) {
-  EXPECT_THROW(ThresholdRule(4, 0, 0), std::invalid_argument);
-  EXPECT_NO_THROW(ThresholdRule(4, 4, 0));
+  using Clock = ThresholdRule::Clock;
+  EXPECT_THROW(ThresholdRule("threshold[0]", 4, Clock::kFixed, 0, 0), std::invalid_argument);
+  EXPECT_NO_THROW(ThresholdRule("threshold[0]", 4, Clock::kFixed, 4, 0));
 }
 
 TEST(Threshold, HugeSlackSaturatesInsteadOfWrapping) {
   // ceil(m/n) + slack - 1 exceeds UINT32_MAX; a uint32 sum would wrap to a
   // bound below every load and abort the run.
-  ThresholdRule rule(10, 20, std::numeric_limits<std::uint32_t>::max());
-  EXPECT_EQ(rule.accept_bound(), std::numeric_limits<std::uint32_t>::max());
+  const auto rule = make_rule("threshold[4294967295]", 10, 20);
+  EXPECT_EQ(next_bound(*rule, BinState(10)), std::numeric_limits<std::uint32_t>::max());
   rng::Engine gen(3);
   const AllocationResult res = make_protocol("threshold[4294967295]")->run(20, 10, gen);
   EXPECT_EQ(res.balls, 20u);
@@ -189,11 +195,11 @@ TEST(Threshold, HugeAverageLoadSaturatesInsteadOfTruncating) {
   // m/n >= 2^32: truncating ceil(m/n) to uint32 would give a bound of 0.
   constexpr std::uint64_t m = std::uint64_t{1} << 33;
   for (const std::uint32_t slack : {0u, 1u, 2u}) {
-    ThresholdRule rule(1, m, slack);
-    EXPECT_EQ(rule.accept_bound(), std::numeric_limits<std::uint32_t>::max()) << slack;
+    const auto rule = make_rule("threshold[" + std::to_string(slack) + "]", 1, m);
     BinState state(1);
+    EXPECT_EQ(next_bound(*rule, state), std::numeric_limits<std::uint32_t>::max()) << slack;
     rng::Engine gen(4);
-    EXPECT_EQ(rule.place_one(state, gen), 0u) << slack;
+    EXPECT_EQ(rule->place_one(state, gen), 0u) << slack;
   }
 }
 
@@ -204,6 +210,87 @@ TEST(Threshold, SlackZeroGivesPerfectlyFlatLoad) {
   const AllocationResult res = make_protocol("threshold[0]")->run(m, n, gen);
   for (std::uint32_t l : res.loads) EXPECT_EQ(l, 4u);
 }
+
+// ------------------------------------------------ one bound, one clock each
+
+// One row per family spec: the clock's count c for the next ball, from the
+// placements so far and the balls present. The rule must accept exactly
+// load <= ceil(c/n) + slack - 1 after every placement and departure.
+struct ClockRow {
+  std::string spec;
+  std::uint32_t n;
+  std::uint64_t m_hint;
+  std::uint32_t slack;
+  std::function<std::uint64_t(std::uint64_t placed, std::uint64_t balls)> c;
+};
+
+void PrintTo(const ClockRow& row, std::ostream* os) { *os << row.spec << ",n=" << row.n; }
+
+class ThresholdClockTest : public ::testing::TestWithParam<ClockRow> {};
+
+TEST_P(ThresholdClockTest, BoundMatchesClosedFormUnderChurn) {
+  const ClockRow& row = GetParam();
+  const auto alloc = make_streaming_allocator(row.spec, row.n, row.m_hint);
+  rng::Engine gen(row.n + row.slack);
+  const auto expected = [&] {
+    const std::uint64_t c = row.c(alloc->total_placed(), alloc->state().balls());
+    return ceil_div(c, row.n) + row.slack - 1;
+  };
+  ASSERT_EQ(next_bound(alloc->rule(), alloc->state()), expected());
+  // Every third event is a departure; five stages of placements pass two
+  // doublings of a first guess of n (at n and 2n placements).
+  for (std::uint64_t event = 0; alloc->total_placed() < 5ULL * row.n; ++event) {
+    if (event % 3 == 2) {
+      alloc->remove(alloc->state().sample_nonempty(gen));
+    } else {
+      (void)alloc->place(gen);
+    }
+    ASSERT_EQ(next_bound(alloc->rule(), alloc->state()), expected())
+        << "after event " << event << ", placed " << alloc->total_placed();
+  }
+}
+
+ClockRow fixed_row(const std::string& spec, std::uint32_t n, std::uint64_t m_hint,
+                   std::uint32_t slack) {
+  // No hint provisions for m = n.
+  return {spec, n, m_hint, slack,
+          [m = m_hint == 0 ? n : m_hint](std::uint64_t, std::uint64_t) { return m; }};
+}
+
+ClockRow placed_row(const std::string& spec, std::uint32_t n, std::uint32_t slack,
+                    std::uint64_t delta = 1) {
+  // The count is republished every delta placements: p = delta floor(placed/delta).
+  return {spec, n, 0, slack,
+          [delta](std::uint64_t placed, std::uint64_t) { return placed / delta * delta + 1; }};
+}
+
+ClockRow net_row(const std::string& spec, std::uint32_t n, std::uint32_t slack) {
+  return {spec, n, 0, slack, [](std::uint64_t, std::uint64_t balls) { return balls + 1; }};
+}
+
+ClockRow doubling_row(const std::string& spec, std::uint32_t n, std::uint64_t guess) {
+  return {spec, n, 0, 1, [first = guess == 0 ? n : guess](std::uint64_t placed, std::uint64_t) {
+            std::uint64_t m = first;
+            while (placed >= m) m *= 2;
+            return m;
+          }};
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryFamily, ThresholdClockTest,
+    ::testing::Values(
+        // The fixed bounds admit the churn's peak population (2.5n).
+        fixed_row("threshold", 8, 24, 1), fixed_row("threshold[0]", 8, 32, 0),
+        fixed_row("threshold[2]", 7, 0, 2), fixed_row("threshold[3]", 8, 0, 3),
+        placed_row("adaptive", 8, 1), placed_row("adaptive[0]", 8, 0),
+        placed_row("adaptive[2]", 7, 2), placed_row("adaptive-total", 8, 1),
+        placed_row("adaptive-total[0]", 5, 0), net_row("adaptive-net", 8, 1),
+        net_row("adaptive-net[0]", 8, 0), net_row("adaptive-net[3]", 7, 3),
+        placed_row("stale-adaptive[1]", 8, 1, 1), placed_row("stale-adaptive[3]", 8, 1, 3),
+        placed_row("stale-adaptive[5]", 7, 1, 5), placed_row("stale-adaptive[8]", 8, 1, 8),
+        placed_row("skewed-adaptive[0]", 8, 1), placed_row("skewed-adaptive[150]", 8, 1),
+        doubling_row("doubling-threshold[0]", 8, 0), doubling_row("doubling-threshold[3]", 8, 3),
+        doubling_row("doubling-threshold[1]", 5, 1)));
 
 // -------------------------------------------------- allocation-time behaviour
 
