@@ -17,6 +17,10 @@ namespace {
 // unbounded cache. (1/1.005)^{2^20} underflows to 0 long before this.
 constexpr std::uint32_t kPowCacheMax = 1u << 20;
 
+// add_balls prefetches the lane of the bin this many balls ahead, so the
+// random lane reads overlap instead of serializing.
+constexpr std::size_t kAddPrefetchAhead = 16;
+
 }  // namespace
 
 std::string_view to_string(StateLayout layout) noexcept {
@@ -93,6 +97,28 @@ double BinState::pow_neg_slow(std::uint32_t l) const {
     pow_neg_.push_back(pow_neg_.back() / (1.0 + kPotentialEpsilon));
   }
   return pow_neg_[l];
+}
+
+void BinState::add_balls(const std::uint32_t* bins, std::size_t count) {
+  if (layout_ != StateLayout::kCompact || !classes_.empty()) {
+    for (std::size_t i = 0; i < count; ++i) add_ball(bins[i]);
+    return;
+  }
+  if (count == 0) return;
+  BatchMetrics m = batch_begin();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kAddPrefetchAhead < count) prefetch(bins[i + kAddPrefetchAhead]);
+    const std::uint32_t bin = bins[i];
+    const std::uint32_t l = lanes_[bin];
+    if (l + 1 < kCompactLaneMax) [[likely]] {
+      batch_add_unit_lane(m, bin, l);
+    } else {
+      batch_end(m);  // exact path mutates the checked-out counters
+      add_ball(bin);
+      m = batch_begin();
+    }
+  }
+  batch_end(m);
 }
 
 std::uint32_t BinState::overflow_load(std::uint32_t bin) const noexcept {

@@ -74,6 +74,7 @@
 ///     agree on load(i) and every metric at every step;
 ///   * clear() is indistinguishable from fresh construction.
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -157,6 +158,16 @@ class BinState {
       nonempty_.push_back(bin);
     }
   }
+
+  /// Place one unit ball into each of `bins[0, count)`, in order:
+  /// bit-identical to calling add_ball(bins[i]) for each i (loads, every
+  /// metric, Ψ and lnΦ included). A compact state with no capacities
+  /// commits through the lean lane walk the batch kernel uses, with a
+  /// prefetch ahead; a lane at or near the promotion threshold, the wide
+  /// layout and explicit capacities take the exact add_ball. A repeated
+  /// bin is fine: each ball reads the lane the previous one wrote.
+  /// \throws std::invalid_argument as add_ball (a load overflowing 32 bits).
+  void add_balls(const std::uint32_t* bins, std::size_t count);
 
   /// Remove one unit ball from `bin`. \throws std::invalid_argument if empty.
   void remove_ball(std::uint32_t bin) { remove_ball(bin, 1); }

@@ -48,6 +48,33 @@ template <Engine64 G>
   return lemire_map(x, bound);
 }
 
+/// The rejection step of uniform_below, out of line: `x` is the first
+/// word, whose product with `bound` has a low half below `bound`.
+/// Redraws exactly as uniform_below does and returns its value.
+template <Engine64 G>
+[[gnu::noinline]] std::uint64_t uniform_below_reject(G& gen, std::uint64_t x,
+                                                     std::uint64_t bound) {
+  std::uint64_t lo = x * bound;  // the low half of the 128-bit product
+  const std::uint64_t threshold = (0 - bound) % bound;
+  while (lo < threshold) {
+    x = gen();
+    lo = x * bound;
+  }
+  return lemire_map(x, bound);
+}
+
+/// uniform_below with its common case forced inline and the rare
+/// rejection step (probability < bound / 2^64 per draw) a call: the same
+/// words consumed, the same value returned. For loops whose compiled
+/// uniform_below stays an out-of-line call (the shard round's draw).
+template <Engine64 G>
+[[nodiscard, gnu::always_inline]] inline std::uint64_t uniform_below_inline(
+    G& gen, std::uint64_t bound) {
+  const std::uint64_t x = gen();
+  if (x * bound < bound) [[unlikely]] return uniform_below_reject(gen, x, bound);
+  return lemire_map(x, bound);
+}
+
 /// Uniform integer in the closed range [lo, hi]. Precondition: lo <= hi.
 template <Engine64 G>
 [[nodiscard]] std::uint64_t uniform_range(G& gen, std::uint64_t lo, std::uint64_t hi) {

@@ -30,9 +30,18 @@ struct Aborted {};
 /// defers the ball to the exact cleanup replay, so placements stay exact.
 constexpr std::uint32_t kConflictBit = 0x80000000U;
 
+/// Bit 0 of a request, under the owner-local bin (`local << 1`): an
+/// earlier probe of the same ball went to the same owner, so the request
+/// just before this one in the bucket belongs to the same ball.
+constexpr std::uint32_t kSameBallBit = 1;
+
 /// Requests ahead of the current one whose bins serve prefetches, so the
 /// owner's random mark-word and load reads overlap instead of serializing.
 constexpr std::size_t kPrefetchAhead = 16;
+
+/// Balls drawn or decided between two capacity checks of the per-owner
+/// arrays: a chunk appends at most kChunkBalls * d entries to one bucket.
+constexpr std::uint32_t kChunkBalls = 256;
 
 void prefetch_write(const void* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
@@ -63,24 +72,26 @@ core::ParsedSpec parse_round_spec(const std::string& inner_spec, std::uint32_t s
   return s;
 }
 
-/// One probe in a (sender, owner) request bucket.
-struct Request {
-  std::uint32_t bin = 0;    ///< owner-local bin
-  std::uint32_t probe = 0;  ///< sender's slice probe index: ball * d + slot
-};
+/// greedy[2]'s decision: the less loaded slot, a tie broken by
+/// lemire_map(aux, 2) of the ball's pre-drawn tie-break word.
+std::uint32_t greedy2_slot(std::uint32_t l0, std::uint32_t l1,
+                           std::uint64_t aux) noexcept {
+  const auto tie = static_cast<std::uint32_t>(rng::lemire_map(aux, 2));
+  return l0 == l1 ? tie : (l1 < l0 ? 1 : 0);
+}
 
 /// Serve's reply to request j of a bucket whose bin is already marked.
 /// If the same ball named the bin in an earlier request, the ball either
 /// probed it first or already conflicts there, and that reply is copied;
 /// otherwise an earlier ball probed it and this one conflicts. Draw
 /// appends ball-major, so the ball's earlier requests to this owner are
-/// the run just before j with probe indices >= `ball_probe0` (at most
-/// d - 1 entries).
-std::uint32_t marked_reply(const std::vector<Request>& in, const std::uint32_t* out,
-                           std::size_t j, std::uint32_t ball_probe0,
-                           std::uint32_t load) noexcept {
-  for (std::size_t k = j; k > 0 && in[k - 1].probe >= ball_probe0; --k) {
-    if (in[k - 1].bin == in[j].bin) return out[k - 1];
+/// the run just before j, each entry of the run after its first carrying
+/// the same-ball bit (at most d - 1 entries).
+std::uint32_t marked_reply(const std::uint32_t* in, const std::uint32_t* out,
+                           std::size_t j, std::uint32_t load) noexcept {
+  const std::uint32_t bin = in[j] >> 1;
+  for (std::size_t k = j; (in[k] & kSameBallBit) != 0; --k) {
+    if ((in[k - 1] >> 1) == bin) return out[k - 1];
   }
   return load | kConflictBit;
 }
@@ -88,11 +99,31 @@ std::uint32_t marked_reply(const std::vector<Request>& in, const std::uint32_t* 
 }  // namespace
 
 /// One worker's shard: its bins, its RNG substream, and all per-round
-/// scratch. Between two barriers every field has one writer: the bucket
-/// vectors indexed by owner are filled by this worker (the sender) and
-/// read by the owner in the next phase, `rep[o]` is written by owner o in
-/// serve, and the deferred list is read by worker 0 in cleanup.
+/// scratch. Between two barriers every field has one writer: an outbox is
+/// filled by this worker (the sender) and read by its owner in the next
+/// phase, except `rep`, which the owner writes in serve; the deferred list
+/// is read by worker 0 in cleanup.
 struct ShardedAllocator::Worker {
+  /// One (sender, owner) pair's arrays, owned by the sender. They only
+  /// grow, to the high-water mark, so steady-state rounds neither allocate
+  /// nor zero-fill; the hot loops write them through the cursors below.
+  struct Outbox {
+    std::vector<std::uint32_t> req;    ///< owner-local bin << 1 | same-ball bit
+    std::vector<std::uint32_t> probe;  ///< the sender's probe index, parallel to req
+    std::vector<std::uint32_t> rep;    ///< the owner's replies (load | conflict)
+    std::vector<std::uint32_t> win;    ///< decided winners, owner-local
+    std::uint32_t req_len = 0;         ///< requests this round, set after draw
+    std::uint32_t win_len = 0;         ///< winners this round, set after decide
+  };
+
+  /// Raw write positions into one outbox, valid within one phase.
+  struct Cursor {
+    std::uint32_t* req = nullptr;
+    std::uint32_t* probe = nullptr;
+    std::uint32_t* win = nullptr;
+    std::uint32_t first = 0;  ///< the owner's first global bin
+  };
+
   core::BinState state;
   rng::Engine eng{0};
 
@@ -105,9 +136,8 @@ struct ShardedAllocator::Worker {
   /// between rounds.
   std::vector<std::uint64_t> marks;
 
-  std::vector<std::vector<Request>> req;        ///< [owner] outbound probes
-  std::vector<std::vector<std::uint32_t>> rep;  ///< [owner] replies, parallel to req
-  std::vector<std::vector<std::uint32_t>> win;  ///< [owner] decided winners, owner-local
+  std::vector<Outbox> out;  ///< [owner]
+  std::vector<Cursor> cur;  ///< [owner]
 
   struct Deferred {
     std::uint64_t aux = 0;
@@ -122,9 +152,44 @@ struct ShardedAllocator::Worker {
   Worker(std::uint32_t bins, core::StateLayout layout, std::uint32_t shards)
       : state(bins, layout),
         marks((static_cast<std::size_t>(bins) + 63) / 64, 0),
-        req(shards),
-        rep(shards),
-        win(shards) {}
+        out(shards),
+        cur(shards) {}
+
+  /// Room for `need` more requests at every owner's cursor. A bucket
+  /// grows to at least twice its size and never shrinks.
+  void reserve_requests(std::size_t need) {
+    for (std::size_t o = 0; o < out.size(); ++o) {
+      Outbox& box = out[o];
+      const auto used = static_cast<std::size_t>(cur[o].req - box.req.data());
+      if (box.req.size() - used >= need) continue;
+      const std::size_t size = std::max(used + need, 2 * box.req.size());
+      box.req.resize(size);
+      box.probe.resize(size);
+      cur[o].req = box.req.data() + used;
+      cur[o].probe = box.probe.data() + used;
+    }
+  }
+
+  /// Room for `need` more winners at every owner's cursor, grown the same
+  /// way.
+  void reserve_winners(std::size_t need) {
+    for (std::size_t o = 0; o < out.size(); ++o) {
+      Outbox& box = out[o];
+      const auto used = static_cast<std::size_t>(cur[o].win - box.win.data());
+      if (box.win.size() - used >= need) continue;
+      box.win.resize(std::max(used + need, 2 * box.win.size()));
+      cur[o].win = box.win.data() + used;
+    }
+  }
+
+  /// Append the probe of global bin `bin` (slice probe index `probe`) to
+  /// its owner's bucket; `same` is the same-ball bit.
+  void push_request(std::uint32_t owner, std::uint32_t bin, std::uint32_t probe,
+                    std::uint32_t same) noexcept {
+    Cursor& c = cur[owner];
+    *c.req++ = (bin - c.first) << 1 | same;
+    *c.probe++ = probe;
+  }
 };
 
 /// The round barrier and the abort flag a failing worker raises.
@@ -150,6 +215,11 @@ ShardedAllocator::ShardedAllocator(const std::string& inner_spec, std::uint32_t 
           : s.name == "left" ? Kind::kLeft
                              : Kind::kOneChoice;
   d_ = s.args.empty() ? 1 : static_cast<std::uint32_t>(s.args[0]);
+  // A request is local << 1 | same-ball bit: every owner-local bin must
+  // fit in 31 bits. Shard 0 is the largest, and ceil(n / 2) <= 2^31.
+  if (topo_.shard_bins(0) > (1U << 31)) {
+    throw std::invalid_argument("ShardedAllocator: a shard of more than 2^31 bins");
+  }
   const std::uint64_t cap = 65535ULL * topo_.shards();
   round_total_ = std::clamp<std::uint64_t>(opt_.round_balls, topo_.shards(), cap);
 }
@@ -174,12 +244,10 @@ std::uint32_t ShardedAllocator::decide_slot(const std::uint32_t* loads, std::uin
                                             std::uint64_t aux) const noexcept {
   if (kind_ == Kind::kOneChoice) return 0;
   if (d == 2) {
-    // The general paths below, unrolled: a tie draws lemire_map(aux, 2)
-    // for greedy and keeps the left slot for left[2].
-    const std::uint32_t tie =
-        kind_ == Kind::kGreedy ? static_cast<std::uint32_t>(rng::lemire_map(aux, 2)) : 0;
-    const std::uint32_t less = loads[1] < loads[0] ? 1 : 0;
-    return loads[0] == loads[1] ? tie : less;
+    // The general paths below, unrolled: left[2] keeps the left slot on a
+    // tie.
+    if (kind_ == Kind::kGreedy) return greedy2_slot(loads[0], loads[1], aux);
+    return loads[1] < loads[0] ? 1 : 0;
   }
   if (kind_ == Kind::kLeft) {
     // Vöcking's always-go-left: strict < keeps the leftmost minimum.
@@ -233,14 +301,22 @@ void ShardedAllocator::run(std::uint64_t m, rng::Engine& gen) {
     w->probe_bins.resize(static_cast<std::size_t>(slice_max) * d_);
     w->probe_loads.resize(static_cast<std::size_t>(slice_max) * d_);
     if (kind_ == Kind::kGreedy) w->aux.resize(slice_max);
+    for (std::uint32_t o = 0; o < t; ++o) w->cur[o].first = topo_.first_bin(o);
     workers_.push_back(std::move(w));
   }
   sync_ = std::make_unique<Sync>(t);
 
+  const bool greedy2 = kind_ == Kind::kGreedy && d_ == 2;
   std::vector<std::thread> threads;
   threads.reserve(t);
   for (std::uint32_t s = 0; s < t; ++s) {
-    threads.emplace_back([this, s, m] { worker_main(s, m); });
+    threads.emplace_back([this, s, m, greedy2] {
+      if (greedy2) {
+        worker_main<2>(s, m);
+      } else {
+        worker_main<0>(s, m);
+      }
+    });
   }
   for (std::thread& th : threads) th.join();
 
@@ -262,13 +338,16 @@ void ShardedAllocator::run(std::uint64_t m, rng::Engine& gen) {
   sync_.reset();
 }
 
+template <std::uint32_t D>
 void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
+  static_assert(D == 0 || D == 2, "a general and a greedy[2] instance only");
   using Clock = std::chrono::steady_clock;
   Worker& w = *workers_[s];
   const std::uint32_t t = topo_.shards();
   const std::uint32_t n = topo_.n();
-  const std::uint32_t d = d_;
-  const FastDivU32 ball_of_probe(d);
+  const std::uint32_t d = D != 0 ? D : d_;
+  const bool greedy = D == 2 || kind_ == Kind::kGreedy;
+  const bool left = D == 0 && kind_ == Kind::kLeft;
   const std::uint64_t rounds = (m + round_total_ - 1) / round_total_;
 
   // Every phase and barrier wait ends with a lap onto its timer.
@@ -297,30 +376,47 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
       // the stream depends only on the substream seed. Touches neither
       // BinState nor the deferred lists, so it may overlap the previous
       // round's cleanup on worker 0.
-      for (std::vector<Request>& bucket : w.req) bucket.clear();
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        for (std::uint32_t g = 0; g < d; ++g) {
-          std::uint32_t bin = 0;
-          if (kind_ == Kind::kLeft) {
-            const auto [first, last] = group_range(g);
-            bin = first + static_cast<std::uint32_t>(
-                              rng::uniform_below(w.eng, last - first));
-          } else {
-            bin = static_cast<std::uint32_t>(rng::uniform_below(w.eng, n));
+      for (std::uint32_t o = 0; o < t; ++o) {
+        w.cur[o].req = w.out[o].req.data();
+        w.cur[o].probe = w.out[o].probe.data();
+      }
+      for (std::uint32_t i0 = 0; i0 < cnt; i0 += kChunkBalls) {
+        const std::uint32_t i1 = std::min(cnt, i0 + kChunkBalls);
+        w.reserve_requests(static_cast<std::size_t>(i1 - i0) * d);
+        for (std::uint32_t i = i0; i < i1; ++i) {
+          std::array<std::uint32_t, kMaxShardD> owners{};
+          for (std::uint32_t g = 0; g < d; ++g) {
+            std::uint32_t bin = 0;
+            if (left) {
+              const auto [first, last] = group_range(g);
+              const auto pick = rng::uniform_below_inline(w.eng, last - first);
+              bin = first + static_cast<std::uint32_t>(pick);
+            } else {
+              bin = static_cast<std::uint32_t>(rng::uniform_below_inline(w.eng, n));
+            }
+            const std::uint32_t probe = i * d + g;
+            w.probe_bins[probe] = bin;
+            const std::uint32_t owner = topo_.shard_of(bin);
+            // The same-ball bit, from the ball's owners so far (in registers
+            // at d = 2: one compare).
+            std::uint32_t same = 0;
+            for (std::uint32_t k = 0; k < g; ++k) {
+              same |= owners[k] == owner ? kSameBallBit : 0;
+            }
+            owners[g] = owner;
+            w.push_request(owner, bin, probe, same);
           }
-          const std::uint32_t probe = i * d + g;
-          w.probe_bins[probe] = bin;
-          const std::uint32_t owner = topo_.shard_of(bin);
-          w.req[owner].push_back(Request{topo_.local_of(bin, owner), probe});
+          if (greedy) w.aux[i] = w.eng();
         }
-        if (kind_ == Kind::kGreedy) w.aux[i] = w.eng();
       }
       for (std::uint32_t o = 0; o < t; ++o) {
-        const std::size_t len = w.req[o].size();
-        w.rep[o].resize(len);
+        Worker::Outbox& box = w.out[o];
+        const auto len = static_cast<std::uint32_t>(w.cur[o].req - box.req.data());
+        box.req_len = len;
+        if (box.rep.size() < len) box.rep.resize(box.req.size());
         if (o == s) continue;
         w.counters.cross_shard_probes += len;
-        w.counters.messages += 2 * len;  // request + reply
+        w.counters.messages += 2ULL * len;  // request + reply
         w.counters.ring_highwater = std::max<std::uint64_t>(w.counters.ring_highwater,
                                                             len);
       }
@@ -334,23 +430,27 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
       // later ball probing it conflicts. Loads are round-start loads:
       // nothing is applied before apply.
       for (std::uint32_t from = 0; from < t; ++from) {
-        const std::vector<Request>& in = workers_[from]->req[s];
-        std::uint32_t* out = workers_[from]->rep[s].data();
-        for (std::size_t j = 0; j < in.size(); ++j) {
-          if (j + kPrefetchAhead < in.size()) {
-            const std::uint32_t ahead = in[j + kPrefetchAhead].bin;
+        Worker::Outbox& box = workers_[from]->out[s];
+        const std::uint32_t* in = box.req.data();
+        std::uint32_t* rep = box.rep.data();
+        const std::size_t len = box.req_len;
+        // A ball's first request to an owner carries no same-ball bit, so
+        // marked_reply's walk back stops inside the bucket.
+        assert(len == 0 || (in[0] & kSameBallBit) == 0);
+        for (std::size_t j = 0; j < len; ++j) {
+          if (j + kPrefetchAhead < len) {
+            const std::uint32_t ahead = in[j + kPrefetchAhead] >> 1;
             prefetch_write(&w.marks[ahead / 64]);
             w.state.prefetch(ahead);
           }
-          const Request q = in[j];
-          std::uint64_t& word = w.marks[q.bin / 64];
-          const std::uint64_t bit = std::uint64_t{1} << (q.bin % 64);
+          const std::uint32_t bin = in[j] >> 1;
+          std::uint64_t& word = w.marks[bin / 64];
+          const std::uint64_t bit = std::uint64_t{1} << (bin % 64);
           if ((word & bit) == 0) {
             word |= bit;
-            out[j] = w.state.load(q.bin);
+            rep[j] = w.state.load(bin);
           } else {
-            out[j] = marked_reply(in, out, j, ball_of_probe(q.probe) * d,
-                                  w.state.load(q.bin));
+            rep[j] = marked_reply(in, rep, j, w.state.load(bin));
           }
         }
       }
@@ -360,33 +460,55 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
       // --- decide: scatter the replies, decide every ball without a
       // conflict on its round-start loads, bucket winners by owner.
       w.deferred.clear();
-      for (std::vector<std::uint32_t>& bucket : w.win) bucket.clear();
       for (std::uint32_t o = 0; o < t; ++o) {
-        const std::vector<Request>& sent = w.req[o];
-        const std::vector<std::uint32_t>& got = w.rep[o];
-        for (std::size_t j = 0; j < sent.size(); ++j) {
-          w.probe_loads[sent[j].probe] = got[j];
+        const Worker::Outbox& box = w.out[o];
+        const std::uint32_t* probe = box.probe.data();
+        const std::uint32_t* rep = box.rep.data();
+        for (std::size_t j = 0; j < box.req_len; ++j) w.probe_loads[probe[j]] = rep[j];
+        w.cur[o].win = w.out[o].win.data();
+      }
+      std::uint64_t commits = 0;
+      for (std::uint32_t i0 = 0; i0 < cnt; i0 += kChunkBalls) {
+        const std::uint32_t i1 = std::min(cnt, i0 + kChunkBalls);
+        w.reserve_winners(i1 - i0);
+        for (std::uint32_t i = i0; i < i1; ++i) {
+          const std::size_t at = static_cast<std::size_t>(i) * d;
+          const std::uint32_t* loads = w.probe_loads.data() + at;
+          const std::uint32_t* bins = w.probe_bins.data() + at;
+          std::uint32_t slot = 0;
+          if constexpr (D == 2) {
+            if (((loads[0] | loads[1]) & kConflictBit) != 0) {
+              Worker::Deferred& def = w.deferred.emplace_back();
+              def.aux = w.aux[i];
+              def.bins[0] = bins[0];
+              def.bins[1] = bins[1];
+              continue;
+            }
+            slot = greedy2_slot(loads[0], loads[1], w.aux[i]);
+          } else {
+            const std::uint64_t aux = greedy ? w.aux[i] : 0;
+            std::uint32_t flags = 0;
+            for (std::uint32_t g = 0; g < d; ++g) flags |= loads[g];
+            if ((flags & kConflictBit) != 0) {
+              Worker::Deferred& def = w.deferred.emplace_back();
+              def.aux = aux;
+              std::copy(bins, bins + d, def.bins.begin());
+              continue;
+            }
+            slot = decide_slot(loads, d, aux);
+          }
+          const std::uint32_t bin = bins[slot];
+          const std::uint32_t owner = topo_.shard_of(bin);
+          Worker::Cursor& c = w.cur[owner];
+          *c.win++ = bin - c.first;
+          commits += owner != s ? 1 : 0;  // a cross-shard commit
         }
       }
-      for (std::uint32_t i = 0; i < cnt; ++i) {
-        const std::size_t at = static_cast<std::size_t>(i) * d;
-        const std::uint32_t* loads = w.probe_loads.data() + at;
-        const std::uint32_t* bins = w.probe_bins.data() + at;
-        const std::uint64_t aux = kind_ == Kind::kGreedy ? w.aux[i] : 0;
-        std::uint32_t flags = 0;
-        for (std::uint32_t g = 0; g < d; ++g) flags |= loads[g];
-        if ((flags & kConflictBit) != 0) {
-          Worker::Deferred& def = w.deferred.emplace_back();
-          def.aux = aux;
-          std::copy(bins, bins + d, def.bins.begin());
-          ++w.counters.deferred_balls;
-          continue;
-        }
-        const std::uint32_t bin = bins[decide_slot(loads, d, aux)];
-        const std::uint32_t owner = topo_.shard_of(bin);
-        w.win[owner].push_back(topo_.local_of(bin, owner));
-        w.counters.messages += owner != s ? 1 : 0;  // a cross-shard commit
+      for (std::uint32_t o = 0; o < t; ++o) {
+        w.out[o].win_len = static_cast<std::uint32_t>(w.cur[o].win - w.out[o].win.data());
       }
+      w.counters.messages += commits;
+      w.counters.deferred_balls += w.deferred.size();
       lap(w.times.decide_ns);
       barrier();
 
@@ -395,13 +517,16 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
       // then zero the mark words this round's requests touched. Every set
       // mark belongs to a bin probed this round, so whole words clear
       // exactly.
-      for (const std::uint32_t lb : w.win[s]) w.state.add_ball(lb);
+      w.state.add_balls(w.out[s].win.data(), w.out[s].win_len);
       for (std::uint32_t from = 0; from < t; ++from) {
         if (from == s) continue;
-        for (const std::uint32_t lb : workers_[from]->win[s]) w.state.add_ball(lb);
+        const Worker::Outbox& box = workers_[from]->out[s];
+        w.state.add_balls(box.win.data(), box.win_len);
       }
       for (std::uint32_t from = 0; from < t; ++from) {
-        for (const Request& q : workers_[from]->req[s]) w.marks[q.bin / 64] = 0;
+        const Worker::Outbox& box = workers_[from]->out[s];
+        const std::uint32_t* in = box.req.data();
+        for (std::size_t j = 0; j < box.req_len; ++j) w.marks[(in[j] >> 1) / 64] = 0;
       }
       ++w.counters.rounds;
       lap(w.times.apply_ns);

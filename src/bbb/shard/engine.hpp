@@ -20,20 +20,26 @@
 ///   draw     each worker draws its balls' d probe bins (and one
 ///            tie-break word for greedy) from its own substream and
 ///            appends every probe to the request bucket of the bin's
-///            owner as (owner-local bin, probe index);
+///            owner as one 4-byte word, owner-local bin << 1 | same-ball
+///            bit (set when an earlier probe of the same ball went to the
+///            same owner); the probe index stays with the sender, in an
+///            array parallel to the bucket;
 ///   serve    each owner reads its inbound buckets sender-major — global
 ///            ball order — setting a probe-mark bit for the first prober
 ///            of each of its bins (one bit per bin, 64 to a word) and
 ///            writing, parallel to the request, the *round-start* load
 ///            plus a conflict bit: a probe on a bin an earlier ball
 ///            already probed conflicts (a ball naming a bin twice copies
-///            the reply of its own earlier request);
+///            the reply of its own earlier request, found by walking the
+///            same-ball bits back);
 ///   decide   each sender scatters its replies, decides every ball with
 ///            no conflict (least-loaded with the pre-drawn tie-break
 ///            word; leftmost for left[d]) and buckets the winner by its
 ///            owner; a conflicted ball goes to the deferred list;
 ///   apply    each owner applies its own winners, then inbound winners
-///            sender-major, and zeroes the mark words this round set (loads
+///            sender-major (BinState::add_balls: the lean lane commit in
+///            the compact layout), and zeroes the mark words this round
+///            set (loads
 ///            were read before any winner applied, so every
 ///            non-conflicted ball decided on exactly the loads the
 ///            *sequential* process would show it — no earlier ball
@@ -53,6 +59,12 @@
 /// tests/shard/equivalence_test.cpp cross-validates this at alpha = 1e-4,
 /// and tests/shard/engine_test.cpp replays the same substreams through a
 /// literal sequential simulation and demands bit-equality.
+///
+/// Every per-(sender, owner) array only grows, to its high-water mark, and
+/// the hot loops write it through raw per-owner cursors whose capacity is
+/// checked once per chunk of balls. The round loop is a template on the
+/// probe count: greedy[2] runs an instance with the draw and the
+/// two-choice decision inlined, every other rule the general one.
 ///
 /// The engine implements the probe-based rules one-choice / greedy[d] /
 /// left[d] (uniform capacities, d <= 8) on at least two shards. Probe
@@ -107,8 +119,10 @@ class ShardedAllocator {
  public:
   /// \param inner_spec a registry rule spec *without* modifier prefixes.
   /// \throws std::invalid_argument for unknown/invalid specs, shards < 2
-  ///         or shards > n, or a spec outside the supported
-  ///         one-choice / greedy[d<=8] / left[d<=8] set.
+  ///         or shards > n, a spec outside the supported
+  ///         one-choice / greedy[d<=8] / left[d<=8] set, or a shard of
+  ///         more than 2^31 bins (requests carry the owner-local bin in 31
+  ///         bits; never the case with shards >= 2).
   ShardedAllocator(const std::string& inner_spec, std::uint32_t n, ShardOptions opt);
   ~ShardedAllocator();
 
@@ -167,6 +181,9 @@ class ShardedAllocator {
   struct Worker;
   struct Sync;
 
+  /// The round loop of worker s. D == 2 is the greedy[2] instance; D == 0
+  /// runs any supported rule with the run-time d.
+  template <std::uint32_t D>
   void worker_main(std::uint32_t s, std::uint64_t m);
   void cleanup_round();
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -375,6 +377,116 @@ TEST(BinStateCapacity, ClearKeepsCapacitiesAndResetsLoads) {
   expect_clear_equals_fresh(used, BinState(caps));
   EXPECT_EQ(used.capacities(), caps);
   EXPECT_EQ(used.total_capacity(), 30u);
+}
+
+// ---------------------------------------------------------------------------
+// add_balls == add_ball in a loop, bit for bit
+// ---------------------------------------------------------------------------
+
+// Every observable of two states fed the same balls, compared exactly
+// (the doubles too: the lean commit must replay add_ball's FP order).
+void expect_twins_identical(const BinState& batch, const BinState& loop) {
+  EXPECT_EQ(batch.copy_loads(), loop.copy_loads());
+  EXPECT_EQ(batch.level_counts(), loop.level_counts());  // length included
+  EXPECT_EQ(batch.min_load(), loop.min_load());
+  EXPECT_EQ(batch.max_load(), loop.max_load());
+  EXPECT_EQ(batch.balls(), loop.balls());
+  EXPECT_EQ(batch.sum_squares(), loop.sum_squares());
+  EXPECT_EQ(batch.psi(), loop.psi());
+  EXPECT_EQ(batch.phi_weight(), loop.phi_weight());
+  EXPECT_EQ(batch.log_phi(), loop.log_phi());
+  EXPECT_EQ(batch.weighted_psi(), loop.weighted_psi());
+  EXPECT_EQ(batch.max_norm_load(), loop.max_norm_load());
+  EXPECT_EQ(batch.min_norm_load(), loop.min_norm_load());
+  EXPECT_EQ(batch.compact_promotions(), loop.compact_promotions());
+  EXPECT_EQ(batch.compact_demotions(), loop.compact_demotions());
+}
+
+void add_to_twins(BinState& batch, BinState& loop,
+                  const std::vector<std::uint32_t>& bins) {
+  batch.add_balls(bins.data(), bins.size());
+  for (const std::uint32_t bin : bins) loop.add_ball(bin);
+  expect_twins_identical(batch, loop);
+}
+
+std::vector<std::uint32_t> random_bins(rng::Engine& gen, std::uint32_t n,
+                                       std::size_t count) {
+  std::vector<std::uint32_t> bins(count);
+  for (std::uint32_t& bin : bins) {
+    bin = static_cast<std::uint32_t>(rng::uniform_below(gen, n));
+  }
+  return bins;
+}
+
+TEST(BinStateAddBalls, CompactLanesCrossThePromotionThreshold) {
+  // Bin 0 climbs from lane 252 to load 256 inside one call, between random
+  // neighbours: 252 -> 253 -> 254 commit lean, 254 -> 255 promotes into the
+  // side-table through the exact path, 255 -> 256 updates the side-table.
+  BinState batch(8, StateLayout::kCompact);
+  BinState loop(8, StateLayout::kCompact);
+  add_to_twins(batch, loop, std::vector<std::uint32_t>(252, 0));
+  EXPECT_EQ(batch.load(0), 252u);
+  rng::Engine gen(17);
+  std::vector<std::uint32_t> bins = random_bins(gen, 8, 40);
+  for (std::size_t k = 0; k < 4; ++k) bins[5 + 9 * k] = 0;
+  const std::uint32_t zeros = static_cast<std::uint32_t>(
+      std::count(bins.begin(), bins.end(), 0u));
+  add_to_twins(batch, loop, bins);
+  EXPECT_EQ(batch.load(0), 252u + zeros);
+  EXPECT_GE(batch.load(0), 256u);
+  EXPECT_GT(batch.compact_promotions(), 0u);
+  // Further calls past the threshold, and after removals (trailing zero
+  // levels above the max, min moving down and up again).
+  add_to_twins(batch, loop, random_bins(gen, 8, 2'000));
+  for (std::uint32_t bin = 0; bin < 8; ++bin) {
+    batch.remove_ball(bin, batch.load(bin) / 2 + 1);
+    loop.remove_ball(bin, loop.load(bin) / 2 + 1);
+  }
+  expect_twins_identical(batch, loop);
+  add_to_twins(batch, loop, random_bins(gen, 8, 500));
+}
+
+TEST(BinStateAddBalls, RepeatedBinWithinOneCall) {
+  BinState batch(6, StateLayout::kCompact);
+  BinState loop(6, StateLayout::kCompact);
+  add_to_twins(batch, loop, {3, 3, 3, 5, 3, 0, 3, 3});
+  EXPECT_EQ(batch.load(3), 6u);
+  EXPECT_EQ(batch.max_load(), 6u);
+  EXPECT_EQ(batch.min_load(), 0u);
+}
+
+TEST(BinStateAddBalls, WideLayoutTakesTheExactPath) {
+  BinState batch(64, StateLayout::kWide);
+  BinState loop(64, StateLayout::kWide);
+  rng::Engine gen(23);
+  for (int call = 0; call < 5; ++call) {
+    add_to_twins(batch, loop, random_bins(gen, 64, 1'000));
+  }
+  EXPECT_EQ(batch.loads(), loop.loads());
+  EXPECT_EQ(batch.nonempty_bins(), loop.nonempty_bins());
+}
+
+TEST(BinStateAddBalls, HeterogeneousCapacitiesTakeTheExactPath) {
+  const std::vector<std::uint32_t> caps{1, 2, 4, 8, 1, 2, 4, 8};
+  for (const StateLayout layout : {StateLayout::kCompact, StateLayout::kWide}) {
+    BinState batch(caps, layout);
+    BinState loop(caps, layout);
+    rng::Engine gen(29);
+    for (int call = 0; call < 4; ++call) {
+      add_to_twins(batch, loop, random_bins(gen, 8, 300));
+    }
+  }
+}
+
+TEST(BinStateAddBalls, EmptyCallChangesNothing) {
+  for (const StateLayout layout : {StateLayout::kCompact, StateLayout::kWide}) {
+    BinState batch(4, layout);
+    BinState loop(4, layout);
+    add_to_twins(batch, loop, {});
+    add_to_twins(batch, loop, {1, 2, 2});
+    batch.add_balls(nullptr, 0);
+    expect_twins_identical(batch, loop);
+  }
 }
 
 }  // namespace

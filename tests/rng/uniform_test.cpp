@@ -42,6 +42,21 @@ TEST(UniformBelow, WorksWithPcg32Engine) {
   }
 }
 
+TEST(UniformBelowInline, SameWordsAndValuesAsUniformBelow) {
+  // Bounds just above 2^63 reject about half of all words, so the
+  // out-of-line rejection step runs thousands of times here.
+  const std::uint64_t bounds[] = {1, 2, 3, 97, 1ULL << 22, (1ULL << 63) + 1, ~0ULL};
+  for (const std::uint64_t bound : bounds) {
+    Engine a(12);
+    Engine b(12);
+    for (int i = 0; i < 10'000; ++i) {
+      ASSERT_EQ(uniform_below_inline(a, bound), uniform_below(b, bound))
+          << "bound=" << bound << " draw " << i;
+    }
+    EXPECT_EQ(a(), b());  // both consumed the same number of words
+  }
+}
+
 TEST(UniformRange, HitsBothEndpoints) {
   Engine gen(4);
   bool saw_lo = false, saw_hi = false;

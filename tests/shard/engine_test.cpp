@@ -384,7 +384,17 @@ struct ReplayCase {
   /// The row must contain a ball that repeats a bin an earlier ball of its
   /// round already probed.
   bool repeats_probed_bin = false;
+  /// Compact loads pass kCompactLaneMax: the row must promote a bin into
+  /// the overflow side-table.
+  bool promotes = false;
 };
+
+std::string row_label(const ReplayCase& c, core::StateLayout layout) {
+  std::string label = std::string(c.spec) + " n=" + std::to_string(c.n);
+  label += " t=" + std::to_string(c.shards) + " rb=" + std::to_string(c.round_balls);
+  label += " m=" + std::to_string(c.m) + " " + std::string(core::to_string(layout));
+  return label;
+}
 
 TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
   // Small n with large rounds forces heavy intra-round conflicts, so the
@@ -407,37 +417,53 @@ TEST(ShardLockstep, MultiShardMatchesSequentialReplayBitForBit) {
       {RKind::kGreedy, 2, "greedy[2]", 64, 5, 5, 3},      // m < t: empty slices
       {RKind::kLeft, 2, "left[2]", 64, 4, 64, 1},         // a single ball
       {RKind::kGreedy, 3, "greedy[3]", 6, 3, 12, 601, true},  // repeat, probed earlier
+      // Loads near 300: compact lanes pass the lean commit's ceiling, so
+      // apply and cleanup both take the exact path and promote bins into
+      // the overflow side-table.
+      {RKind::kGreedy, 2, "greedy[2]", 16, 4, 64, 16 * 300, false, true},
   };
+  // Every row runs in both layouts: the compact round applies through the
+  // lean lane commit, the wide one through the exact add_ball.
   int index = 0;
   for (const ReplayCase& c : cases) {
-    SCOPED_TRACE(std::string(c.spec) + " n=" + std::to_string(c.n) + " t=" +
-                 std::to_string(c.shards) + " rb=" + std::to_string(c.round_balls) +
-                 " m=" + std::to_string(c.m));
-    rng::Engine gen = rng::SeedSequence(2026).engine(index);
-    rng::Engine gen_replay = gen;  // identical starting stream
+    const rng::Engine start = rng::SeedSequence(2026).engine(index);
     ++index;
+    for (const core::StateLayout layout :
+         {core::StateLayout::kWide, core::StateLayout::kCompact}) {
+      SCOPED_TRACE(row_label(c, layout));
+      rng::Engine gen = start;
+      rng::Engine gen_replay = start;  // identical starting stream
 
-    ShardOptions opt;
-    opt.shards = c.shards;
-    opt.round_balls = c.round_balls;
-    ShardedAllocator engine(c.spec, c.n, opt);
-    engine.run(c.m, gen);
+      ShardOptions opt;
+      opt.shards = c.shards;
+      opt.round_balls = c.round_balls;
+      opt.layout = layout;
+      ShardedAllocator engine(c.spec, c.n, opt);
+      engine.run(c.m, gen);
 
-    const Replay expected =
-        sequential_replay(c.kind, c.d, c.n, c.shards, c.round_balls, c.m, gen_replay);
-    EXPECT_EQ(engine.copy_loads(), expected.loads);
-    // Loads alone cannot see over-deferral (cleanup replays a needlessly
-    // deferred ball exactly), so the counters are compared too.
-    EXPECT_EQ(engine.counters(), expected.counters);
-    EXPECT_EQ(engine.sync_rounds(), expected.counters.rounds / c.shards);
-    if (c.repeats_probed_bin) {
-      EXPECT_GT(expected.repeats_of_probed_bin, 0u);
+      const Replay expected =
+          sequential_replay(c.kind, c.d, c.n, c.shards, c.round_balls, c.m, gen_replay);
+      EXPECT_EQ(engine.copy_loads(), expected.loads);
+      // Loads alone cannot see over-deferral (cleanup replays a needlessly
+      // deferred ball exactly), so the counters are compared too.
+      EXPECT_EQ(engine.counters(), expected.counters);
+      EXPECT_EQ(engine.sync_rounds(), expected.counters.rounds / c.shards);
+      if (c.repeats_probed_bin) {
+        EXPECT_GT(expected.repeats_of_probed_bin, 0u);
+      }
+      if (c.promotes && layout == core::StateLayout::kCompact) {
+        std::uint64_t promotions = 0;
+        for (std::uint32_t s = 0; s < c.shards; ++s) {
+          promotions += engine.shard_state(s).compact_promotions();
+        }
+        EXPECT_GT(promotions, 0u);
+      }
+      EXPECT_EQ(engine.balls(), c.m);
+      EXPECT_EQ(engine.probes(), c.m * c.d);
+      // The engine consumed exactly one word of the caller's stream (the
+      // nested master seed) — the two engines are in lockstep afterwards.
+      EXPECT_EQ(gen(), gen_replay());
     }
-    EXPECT_EQ(engine.balls(), c.m);
-    EXPECT_EQ(engine.probes(), c.m * c.d);
-    // The engine consumed exactly one word of the caller's stream (the
-    // nested master seed) — the two engines are in lockstep afterwards.
-    EXPECT_EQ(gen(), gen_replay());
   }
 }
 
@@ -463,43 +489,48 @@ TEST(ShardLockstep, ConflictSaturatedRoundsActuallyDefer) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardEngine, MergedMetricsMatchRebuiltUnshardedState) {
-  ShardOptions opt;
-  opt.shards = 3;
-  ShardedAllocator engine("greedy[2]", 384, opt);
-  rng::Engine gen = rng::SeedSequence(5).engine(0);
-  engine.run(50'000, gen);
+  for (const core::StateLayout layout :
+       {core::StateLayout::kWide, core::StateLayout::kCompact}) {
+    SCOPED_TRACE(std::string(core::to_string(layout)));
+    ShardOptions opt;
+    opt.shards = 3;
+    opt.layout = layout;
+    ShardedAllocator engine("greedy[2]", 384, opt);
+    rng::Engine gen = rng::SeedSequence(5).engine(0);
+    engine.run(50'000, gen);
 
-  const std::vector<std::uint32_t> loads = engine.copy_loads();
-  ASSERT_EQ(loads.size(), 384u);
-  core::BinState ref(384, core::StateLayout::kWide);
-  for (std::uint32_t bin = 0; bin < loads.size(); ++bin) {
-    for (std::uint32_t k = 0; k < loads[bin]; ++k) ref.add_ball(bin);
-  }
-  EXPECT_EQ(engine.balls(), ref.balls());
-  EXPECT_EQ(engine.max_load(), ref.max_load());
-  EXPECT_EQ(engine.min_load(), ref.min_load());
-  EXPECT_EQ(engine.gap(), ref.max_load() - ref.min_load());
-  // psi merges integer parts, so it is exactly the unsharded expression.
-  EXPECT_DOUBLE_EQ(engine.psi(), ref.psi());
-  // log_phi sums per-shard weights in a different order than the
-  // incremental single-state accumulation — equal up to roundoff.
-  EXPECT_NEAR(engine.log_phi(), ref.log_phi(),
-              1e-9 * std::max(1.0, std::abs(ref.log_phi())));
-  const std::vector<std::uint32_t> merged = engine.merged_level_counts();
-  ASSERT_EQ(merged.size(), static_cast<std::size_t>(ref.max_load()) + 1);
-  for (std::size_t l = 0; l < merged.size(); ++l) {
-    EXPECT_EQ(merged[l], ref.level_counts()[l]) << "level " << l;
-  }
-  std::uint64_t level_total = 0;
-  for (const std::uint32_t c : merged) level_total += c;
-  EXPECT_EQ(level_total, 384u);
+    const std::vector<std::uint32_t> loads = engine.copy_loads();
+    ASSERT_EQ(loads.size(), 384u);
+    core::BinState ref(384, core::StateLayout::kWide);
+    for (std::uint32_t bin = 0; bin < loads.size(); ++bin) {
+      for (std::uint32_t k = 0; k < loads[bin]; ++k) ref.add_ball(bin);
+    }
+    EXPECT_EQ(engine.balls(), ref.balls());
+    EXPECT_EQ(engine.max_load(), ref.max_load());
+    EXPECT_EQ(engine.min_load(), ref.min_load());
+    EXPECT_EQ(engine.gap(), ref.max_load() - ref.min_load());
+    // psi merges integer parts, so it is exactly the unsharded expression.
+    EXPECT_DOUBLE_EQ(engine.psi(), ref.psi());
+    // log_phi sums per-shard weights in a different order than the
+    // incremental single-state accumulation — equal up to roundoff.
+    EXPECT_NEAR(engine.log_phi(), ref.log_phi(),
+                1e-9 * std::max(1.0, std::abs(ref.log_phi())));
+    const std::vector<std::uint32_t> merged = engine.merged_level_counts();
+    ASSERT_EQ(merged.size(), static_cast<std::size_t>(ref.max_load()) + 1);
+    for (std::size_t l = 0; l < merged.size(); ++l) {
+      EXPECT_EQ(merged[l], ref.level_counts()[l]) << "level " << l;
+    }
+    std::uint64_t level_total = 0;
+    for (const std::uint32_t c : merged) level_total += c;
+    EXPECT_EQ(level_total, 384u);
 
-  const core::AllocationResult res = engine.result();
-  EXPECT_EQ(res.loads, loads);
-  EXPECT_EQ(res.balls, 50'000u);
-  EXPECT_EQ(res.probes, 100'000u);
-  EXPECT_TRUE(res.completed);
-  EXPECT_EQ(res.rounds, engine.sync_rounds());
+    const core::AllocationResult res = engine.result();
+    EXPECT_EQ(res.loads, loads);
+    EXPECT_EQ(res.balls, 50'000u);
+    EXPECT_EQ(res.probes, 100'000u);
+    EXPECT_TRUE(res.completed);
+    EXPECT_EQ(res.rounds, engine.sync_rounds());
+  }
 }
 
 TEST(ShardEngine, SameSeedSameResultIndependentOfScheduling) {

@@ -11,9 +11,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "bbb/core/bin_state.hpp"
 #include "bbb/par/spin_barrier.hpp"
 #include "bbb/rng/streams.hpp"
 #include "bbb/shard/engine.hpp"
@@ -69,24 +71,31 @@ TEST(ShardStress, BarrierAbortReleasesEveryWaiter) {
 
 TEST(ShardStress, EngineRepeatedRunsAreRaceFreeAndDeterministic) {
   // The engine end-to-end under churn: fresh 4-worker engines back to
-  // back, small rounds so every phase (including deferral cleanup) runs
-  // many times per engine. Same seed must give identical loads every
-  // time, and balls are conserved exactly.
-  std::vector<std::uint32_t> reference;
-  for (int iteration = 0; iteration < 6; ++iteration) {
-    ShardOptions opt;
-    opt.shards = 4;
-    opt.round_balls = 256;
-    ShardedAllocator engine("greedy[2]", 192, opt);
-    rng::Engine gen = rng::SeedSequence(1234).engine(0);
-    engine.run(20'000, gen);
-    ASSERT_EQ(engine.balls(), 20'000u) << "iteration " << iteration;
-    const std::vector<std::uint32_t> loads = engine.copy_loads();
-    if (iteration == 0) {
-      reference = loads;
-      EXPECT_GT(engine.counters().deferred_balls, 0u);
-    } else {
-      ASSERT_EQ(loads, reference) << "iteration " << iteration;
+  // back, small rounds so every phase (including deferral cleanup and the
+  // request buckets' growth in the first rounds) runs many times per
+  // engine. Same seed must give identical loads every time, and balls are
+  // conserved exactly. Both layouts: the compact round applies through the
+  // lean lane commit.
+  for (const core::StateLayout layout :
+       {core::StateLayout::kWide, core::StateLayout::kCompact}) {
+    SCOPED_TRACE(std::string(core::to_string(layout)));
+    std::vector<std::uint32_t> reference;
+    for (int iteration = 0; iteration < 6; ++iteration) {
+      ShardOptions opt;
+      opt.shards = 4;
+      opt.round_balls = 256;
+      opt.layout = layout;
+      ShardedAllocator engine("greedy[2]", 192, opt);
+      rng::Engine gen = rng::SeedSequence(1234).engine(0);
+      engine.run(20'000, gen);
+      ASSERT_EQ(engine.balls(), 20'000u) << "iteration " << iteration;
+      const std::vector<std::uint32_t> loads = engine.copy_loads();
+      if (iteration == 0) {
+        reference = loads;
+        EXPECT_GT(engine.counters().deferred_balls, 0u);
+      } else {
+        ASSERT_EQ(loads, reference) << "iteration " << iteration;
+      }
     }
   }
 }
@@ -94,26 +103,30 @@ TEST(ShardStress, EngineRepeatedRunsAreRaceFreeAndDeterministic) {
 TEST(ShardStress, CleanupOverlapsNextDrawInConflictSaturatedRounds) {
   // n = 16 bins against rounds of 64 balls: nearly every ball conflicts,
   // so worker 0's cleanup replay is long and runs beside the other
-  // workers' next draw in every round. Loads must be identical on every
-  // repetition, balls conserved, and the deferral path must carry most
-  // of the traffic.
-  for (const char* spec : {"greedy[2]", "left[4]"}) {
-    SCOPED_TRACE(spec);
-    std::vector<std::uint32_t> reference;
-    for (int iteration = 0; iteration < 6; ++iteration) {
-      ShardOptions opt;
-      opt.shards = 4;
-      opt.round_balls = 64;
-      ShardedAllocator engine(spec, 16, opt);
-      rng::Engine gen = rng::SeedSequence(77).engine(0);
-      engine.run(12'000, gen);
-      ASSERT_EQ(engine.balls(), 12'000u) << "iteration " << iteration;
-      EXPECT_GT(engine.counters().deferred_balls * 2, engine.counters().balls);
-      const std::vector<std::uint32_t> loads = engine.copy_loads();
-      if (iteration == 0) {
-        reference = loads;
-      } else {
-        ASSERT_EQ(loads, reference) << "iteration " << iteration;
+  // workers' next draw in every round, writing other shards' lanes in the
+  // compact layout. Loads must be identical on every repetition, balls
+  // conserved, and the deferral path must carry most of the traffic.
+  for (const core::StateLayout layout :
+       {core::StateLayout::kWide, core::StateLayout::kCompact}) {
+    for (const char* spec : {"greedy[2]", "left[4]"}) {
+      SCOPED_TRACE(std::string(spec) + " " + std::string(core::to_string(layout)));
+      std::vector<std::uint32_t> reference;
+      for (int iteration = 0; iteration < 6; ++iteration) {
+        ShardOptions opt;
+        opt.shards = 4;
+        opt.round_balls = 64;
+        opt.layout = layout;
+        ShardedAllocator engine(spec, 16, opt);
+        rng::Engine gen = rng::SeedSequence(77).engine(0);
+        engine.run(12'000, gen);
+        ASSERT_EQ(engine.balls(), 12'000u) << "iteration " << iteration;
+        EXPECT_GT(engine.counters().deferred_balls * 2, engine.counters().balls);
+        const std::vector<std::uint32_t> loads = engine.copy_loads();
+        if (iteration == 0) {
+          reference = loads;
+        } else {
+          ASSERT_EQ(loads, reference) << "iteration " << iteration;
+        }
       }
     }
   }
