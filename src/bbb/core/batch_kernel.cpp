@@ -1,5 +1,7 @@
 #include "bbb/core/batch_kernel.hpp"
 
+#include <algorithm>
+
 #include "bbb/core/simd/batch_ops.hpp"
 
 namespace bbb::core {
@@ -66,7 +68,6 @@ void BatchPlacer::place_one_choice(BinState& state, std::uint64_t count,
   ++batches_;
   const std::uint32_t n = state.n();
   const simd::MapStream stream{n, 0, reject_threshold(n)};
-  const std::uint8_t* lanes = state.compact_lanes();
   const simd::SimdOps& ops = simd::active_ops();
   std::uint64_t placed_total = 0;
   while (placed_total < count) {
@@ -83,30 +84,13 @@ void BatchPlacer::place_one_choice(BinState& state, std::uint64_t count,
                               bins_.data() + c);
       for (std::uint32_t i = c; i < stop; ++i) state.prefetch(bins_[i]);
     }
-    std::uint32_t placed = 0;
     if (!reject) {
-      // One-choice reads no loads to decide, so the commit reads the
-      // live lane per ball — duplicates within the wave are naturally
-      // serialized, and the rare near-promotion bin takes the exact
-      // add_ball (same FP order, plus the side-table handling).
-      // Local pointer: the commit's byte stores alias the member
-      // vectors' data pointers under TBAA, so spelling bins_[...] would
-      // reload the pointer every ball.
-      const std::uint32_t* bins = bins_.data();
-      BinState::BatchMetrics m = state.batch_begin();
-      for (; placed < quota; ++placed) {
-        const std::uint32_t bin = bins[placed];
-        const std::uint8_t l = lanes[bin];
-        if (l <= kFastLoadMax) [[likely]] {
-          state.batch_add_unit_lane(m, bin, l);
-        } else {
-          state.batch_end(m);  // exact path mutates the checked-out counters
-          state.add_ball(bin);
-          m = state.batch_begin();
-        }
-        if (out != nullptr) out[placed_total + placed] = bin;
-      }
-      state.batch_end(m);
+      // One-choice reads no loads to decide, so the commit is
+      // add_balls over the wave's bins: it reads the live lane per ball,
+      // so duplicates within the wave are naturally serialized, and the
+      // rare near-promotion bin takes the exact add_ball.
+      state.add_balls(bins_.data(), quota);
+      if (out != nullptr) std::copy_n(bins_.data(), quota, out + placed_total);
       probes += quota;
       fast_balls_ += quota;
     } else {
@@ -115,7 +99,7 @@ void BatchPlacer::place_one_choice(BinState& state, std::uint64_t count,
       fallback_balls_ += quota;
       std::uint32_t k = 0;
       FifoSource src(words_.data(), k, fill, lookahead, gen);
-      for (; placed < quota; ++placed) {
+      for (std::uint32_t placed = 0; placed < quota; ++placed) {
         const auto bin = static_cast<std::uint32_t>(rng::uniform_below(src, n));
         ++probes;
         state.add_ball(bin);

@@ -78,11 +78,9 @@ class BatchPlacer {
   /// word block and its bin map stay resident in L1.
   static constexpr std::uint32_t kWaveWords = 256;
 
-  /// Highest lane value the fast commit accepts: the new load l+1 must
-  /// stay strictly below the 255 promotion threshold, and lane 255 means
-  /// the real load lives in the overflow side-table — both route that
-  /// ball through the exact add_ball.
-  static constexpr std::uint8_t kFastLoadMax = 253;
+  /// Highest lane value the fast commit accepts (BinState::kFastLaneMax):
+  /// a higher lane routes that ball through the exact add_ball.
+  static constexpr std::uint8_t kFastLoadMax = BinState::kFastLaneMax;
 
   /// True when the kernel may place on this state: compact layout (the
   /// 8-bit slab is the vector operand), uniform unit capacities (the lean

@@ -17,10 +17,6 @@ namespace {
 // unbounded cache. (1/1.005)^{2^20} underflows to 0 long before this.
 constexpr std::uint32_t kPowCacheMax = 1u << 20;
 
-// add_balls prefetches the lane of the bin this many balls ahead, so the
-// random lane reads overlap instead of serializing.
-constexpr std::size_t kAddPrefetchAhead = 16;
-
 }  // namespace
 
 std::string_view to_string(StateLayout layout) noexcept {
@@ -107,10 +103,9 @@ void BinState::add_balls(const std::uint32_t* bins, std::size_t count) {
   if (count == 0) return;
   BatchMetrics m = batch_begin();
   for (std::size_t i = 0; i < count; ++i) {
-    if (i + kAddPrefetchAhead < count) prefetch(bins[i + kAddPrefetchAhead]);
     const std::uint32_t bin = bins[i];
     const std::uint32_t l = lanes_[bin];
-    if (l + 1 < kCompactLaneMax) [[likely]] {
+    if (l <= kFastLaneMax) [[likely]] {
       batch_add_unit_lane(m, bin, l);
     } else {
       batch_end(m);  // exact path mutates the checked-out counters

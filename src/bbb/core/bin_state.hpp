@@ -113,6 +113,12 @@ class BinState {
   /// demoted when it drops back below).
   static constexpr std::uint32_t kCompactLaneMax = 255;
 
+  /// Highest lane the lean commit (batch_add_unit_lane, add_balls)
+  /// accepts: the new load l + 1 stays strictly below kCompactLaneMax.
+  /// A higher lane is near promotion, or 255 with the real load in the
+  /// side-table; that ball takes the exact add_ball.
+  static constexpr std::uint32_t kFastLaneMax = kCompactLaneMax - 2;
+
   /// Uniform-capacity state (the paper's setting: every c_i = 1).
   /// \param n number of bins. \throws std::invalid_argument if n == 0.
   explicit BinState(std::uint32_t n, StateLayout layout = StateLayout::kWide);
@@ -162,9 +168,10 @@ class BinState {
   /// Place one unit ball into each of `bins[0, count)`, in order:
   /// bit-identical to calling add_ball(bins[i]) for each i (loads, every
   /// metric, Ψ and lnΦ included). A compact state with no capacities
-  /// commits through the lean lane walk the batch kernel uses, with a
-  /// prefetch ahead; a lane at or near the promotion threshold, the wide
-  /// layout and explicit capacities take the exact add_ball. A repeated
+  /// commits through the lean lane walk (batch_add_unit_lane); a lane
+  /// above kFastLaneMax, the wide layout and explicit capacities take the
+  /// exact add_ball. No prefetch: callers that know their bins early
+  /// (the batch kernel's map pass) prefetch there. A repeated
   /// bin is fine: each ball reads the lane the previous one wrote.
   /// \throws std::invalid_argument as add_ball (a load overflowing 32 bits).
   void add_balls(const std::uint32_t* bins, std::size_t count);

@@ -29,28 +29,10 @@ concept Engine64 = requires(G g) {
       (static_cast<__uint128_t>(word) * static_cast<__uint128_t>(bound)) >> 64);
 }
 
-/// Unbiased uniform integer in [0, bound) via Lemire's multiply-shift
-/// rejection method — one multiply in the common case, no division unless a
-/// rare rejection occurs. Precondition: bound >= 1.
-template <Engine64 G>
-[[nodiscard]] std::uint64_t uniform_below(G& gen, std::uint64_t bound) {
-  std::uint64_t x = gen();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = gen();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return lemire_map(x, bound);
-}
-
 /// The rejection step of uniform_below, out of line: `x` is the first
 /// word, whose product with `bound` has a low half below `bound`.
-/// Redraws exactly as uniform_below does and returns its value.
+/// Redraws while the low half is below 2^64 mod bound (the one division,
+/// paid only here) and maps the accepted word.
 template <Engine64 G>
 [[gnu::noinline]] std::uint64_t uniform_below_reject(G& gen, std::uint64_t x,
                                                      std::uint64_t bound) {
@@ -63,13 +45,14 @@ template <Engine64 G>
   return lemire_map(x, bound);
 }
 
-/// uniform_below with its common case forced inline and the rare
-/// rejection step (probability < bound / 2^64 per draw) a call: the same
-/// words consumed, the same value returned. For loops whose compiled
-/// uniform_below stays an out-of-line call (the shard round's draw).
+/// Unbiased uniform integer in [0, bound) via Lemire's multiply-shift
+/// rejection method — one multiply in the common case, no division unless a
+/// rare rejection occurs. The common case is a multiply and a compare,
+/// small enough to inline into hot draw loops (the shard round's among
+/// them); a rejection candidate (probability < bound / 2^64 per draw)
+/// calls uniform_below_reject. Precondition: bound >= 1.
 template <Engine64 G>
-[[nodiscard, gnu::always_inline]] inline std::uint64_t uniform_below_inline(
-    G& gen, std::uint64_t bound) {
+[[nodiscard]] inline std::uint64_t uniform_below(G& gen, std::uint64_t bound) {
   const std::uint64_t x = gen();
   if (x * bound < bound) [[unlikely]] return uniform_below_reject(gen, x, bound);
   return lemire_map(x, bound);

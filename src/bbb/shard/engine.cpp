@@ -389,10 +389,10 @@ void ShardedAllocator::worker_main(std::uint32_t s, std::uint64_t m) {
             std::uint32_t bin = 0;
             if (left) {
               const auto [first, last] = group_range(g);
-              const auto pick = rng::uniform_below_inline(w.eng, last - first);
+              const auto pick = rng::uniform_below(w.eng, last - first);
               bin = first + static_cast<std::uint32_t>(pick);
             } else {
-              bin = static_cast<std::uint32_t>(rng::uniform_below_inline(w.eng, n));
+              bin = static_cast<std::uint32_t>(rng::uniform_below(w.eng, n));
             }
             const std::uint32_t probe = i * d + g;
             w.probe_bins[probe] = bin;

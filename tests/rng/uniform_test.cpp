@@ -42,7 +42,23 @@ TEST(UniformBelow, WorksWithPcg32Engine) {
   }
 }
 
-TEST(UniformBelowInline, SameWordsAndValuesAsUniformBelow) {
+// Textbook Lemire (one loop, threshold computed on the first candidate):
+// the split uniform_below must consume the same words for the same values.
+template <Engine64 G>
+std::uint64_t reference_lemire(G& gen, std::uint64_t bound) {
+  std::uint64_t x = gen();
+  auto lo = static_cast<std::uint64_t>(static_cast<__uint128_t>(x) * bound);
+  if (lo < bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (lo < threshold) {
+      x = gen();
+      lo = static_cast<std::uint64_t>(static_cast<__uint128_t>(x) * bound);
+    }
+  }
+  return static_cast<std::uint64_t>((static_cast<__uint128_t>(x) * bound) >> 64);
+}
+
+TEST(UniformBelow, SameWordsAndValuesAsReferenceLemire) {
   // Bounds just above 2^63 reject about half of all words, so the
   // out-of-line rejection step runs thousands of times here.
   const std::uint64_t bounds[] = {1, 2, 3, 97, 1ULL << 22, (1ULL << 63) + 1, ~0ULL};
@@ -50,7 +66,7 @@ TEST(UniformBelowInline, SameWordsAndValuesAsUniformBelow) {
     Engine a(12);
     Engine b(12);
     for (int i = 0; i < 10'000; ++i) {
-      ASSERT_EQ(uniform_below_inline(a, bound), uniform_below(b, bound))
+      ASSERT_EQ(uniform_below(a, bound), reference_lemire(b, bound))
           << "bound=" << bound << " draw " << i;
     }
     EXPECT_EQ(a(), b());  // both consumed the same number of words
