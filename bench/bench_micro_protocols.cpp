@@ -117,8 +117,8 @@ BENCHMARK(BM_GiantLeft2);
 // Batch placement kernel (core/batch_kernel.hpp): the same giant-scale
 // shape driven through place_batch in 2^16-ball calls. On the compact
 // layout the kernel-capable families run the vectorized wave path
-// (placements bit-identical to the place() loop — the lockstep suite in
-// tests/core/batch_kernel_test.cpp is the proof); on the wide layout the
+// (placements bit-identical to the place() loop — the cross-path matrix in
+// tests/integration/path_matrix_test.cpp is the proof); on the wide layout the
 // same call degrades to the per-ball base loop, so the wide/compact pair
 // isolates the kernel's contribution from the batching call shape.
 constexpr std::uint32_t kBatchCall = 1 << 16;

@@ -3,8 +3,9 @@
 /// The batch placement kernel: places waves of balls against the compact
 /// 8-bit BinState slab with one bulk RNG block per wave, a vectorized
 /// word->bin map + rejection scan (core/simd/), and a lean metric
-/// commit — bit-identical to the scalar place_one stream (pinned in
-/// tests/core/batch_kernel_test.cpp).
+/// commit — bit-identical to the scalar place_one stream (pinned, every
+/// SIMD tier, by the cross-path matrix in
+/// tests/integration/path_matrix_test.cpp).
 ///
 /// ## Wave anatomy
 ///

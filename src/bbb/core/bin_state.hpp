@@ -34,7 +34,8 @@
 ///     std::logic_error. Every metric — max/min/gap/Ψ/lnΦ/level counts,
 ///     weighted and capacitated forms — is maintained by the same
 ///     incremental code and is bit-identical to the wide layout
-///     (property-tested in tests/core/bin_state_layout_test.cpp).
+///     (property-tested in tests/core/bin_state_layout_test.cpp; rules
+///     place identically on both, tests/integration/path_matrix_test.cpp).
 ///
 /// Notation: this is the paper's load vector l = (l_1, ..., l_n) after t
 /// units of weight have been placed; `balls()` is t, `average()` is t/n

@@ -10,8 +10,8 @@
 /// All helpers draw from the engine in a fixed order (one uniform_below
 /// per probe, plus one per tie for the reservoir tie-break). Any change to
 /// that order breaks the adaptive/threshold load pins at the bottom of
-/// tests/rng/golden_test.cpp and the streaming-vs-batch pins in
-/// tests/dyn/batch_equivalence_test.cpp — loudly.
+/// tests/rng/golden_test.cpp and the streaming-vs-batch cells of the
+/// cross-path matrix (tests/integration/path_matrix_test.cpp) — loudly.
 ///
 /// ## Probe lookahead (the giant-scale hot-path trick)
 ///

@@ -49,9 +49,10 @@
 ///
 /// A spec may instead carry the sharded-engine prefix
 ///   shards[t]:spec               e.g. shards[4]:greedy[2]
-/// For t >= 2 it runs one-choice / greedy[d] / left[d] on t worker threads
-/// in the bulk-synchronous rounds of shard/engine.hpp — exactly
-/// distribution-equal to the sequential rule. `shards[1]:` is a name
+/// For 2 <= t <= min(n, shard::kMaxShards = 256) it runs one-choice /
+/// greedy[d] / left[d] on t worker threads in the bulk-synchronous rounds
+/// of shard/engine.hpp — exactly distribution-equal to the sequential
+/// rule; a larger t throws before any worker starts. `shards[1]:` is a name
 /// prefix on the streaming core, like `capacities=`: every family, and
 /// bit-identical to the bare spec (make_streaming_allocator accepts it;
 /// its batch form is the place loop, so `shards[1]:batched[c]` runs the

@@ -18,9 +18,8 @@
 ///     (cuckoo exhausting its eviction budget) — those leave the net count
 ///     unchanged and record the failure in `completed()`;
 ///   * draws randomness only through `gen`, in a deterministic order —
-///     the batch-equivalence suite (tests/dyn/batch_equivalence_test.cpp)
-///     pins streaming ≡ batch bit-for-bit for every rule with
-///     `batch_equivalent() == true`;
+///     the cross-path matrix (tests/integration/path_matrix_test.cpp)
+///     pins streaming ≡ batch bit-for-bit for every registry spec;
 ///   * counts every random bin choice in `probes()` (the paper's
 ///     allocation time).
 ///
@@ -86,7 +85,7 @@ class PlacementRule {
 
   /// Place `count` unit balls as one call — placements, counters, and
   /// randomness consumption are bit-identical to `count` place_one calls
-  /// (pinned in tests/core/batch_kernel_test.cpp). Rules with a batch
+  /// (pinned in tests/integration/path_matrix_test.cpp). Rules with a batch
   /// kernel (one-choice, greedy[2], left[2] — see core/batch_kernel.hpp)
   /// place vector waves when the state is compact with uniform unit
   /// capacities and the engine-exclusivity promise is in force; every

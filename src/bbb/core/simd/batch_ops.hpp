@@ -8,9 +8,9 @@
 /// ISA-specific is a pure function over contiguous arrays with exact
 /// integer semantics — no placement decision, cursor arithmetic, or
 /// metric update lives behind this boundary. Backends therefore cannot
-/// disagree: `map_words` has one mathematical definition, and the
-/// lockstep suite (tests/core/batch_kernel_test.cpp) pins every compiled
-/// backend against the scalar reference byte for byte. This is also the
+/// disagree: `map_words` has one mathematical definition, and
+/// tests/core/batch_kernel_test.cpp pins every compiled backend against
+/// the scalar reference byte for byte. This is also the
 /// seam where a GPU backend would slot in: a device kernel that consumes
 /// the same word block and emits the same bin array plugs in below the
 /// dispatch without touching a decision rule.
@@ -99,8 +99,8 @@ struct SimdOps {
 [[nodiscard]] SimdTier active_simd_tier() noexcept;
 
 /// Test hook: clamp dispatch to at most `tier` for this process (pass
-/// detection-capped tiers only; the lockstep suite sweeps every tier the
-/// CPU actually supports). Call with no argument to restore CPU dispatch.
+/// detection-capped tiers only; the cross-path matrix sweeps every tier
+/// the CPU actually supports). Call with no argument to restore CPU dispatch.
 void set_simd_tier_override(SimdTier tier) noexcept;
 void clear_simd_tier_override() noexcept;
 

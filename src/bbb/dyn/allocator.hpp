@@ -20,7 +20,7 @@
 ///     rule in the registry;
 ///   * place() followed by no remove() reproduces the matching batch
 ///     protocol bit-for-bit from the same engine state for every rule
-///     with batch_equivalent() (tests/dyn/batch_equivalence_test.cpp).
+///     with batch_equivalent() (tests/integration/path_matrix_test.cpp).
 
 #include "bbb/core/bin_state.hpp"
 #include "bbb/core/protocols/registry.hpp"

@@ -73,11 +73,16 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     }
     Flag& flag = find(key);
     // Validate numeric formats eagerly so errors point at the flag.
+    // Integers are digits only: stoull alone would wrap "-1" to 2^64 - 1
+    // and skip a leading '+' or whitespace (the rule spec arguments follow
+    // too, core/spec.cpp).
     try {
       std::size_t pos = 0;
       if (flag.kind == Kind::kU64) {
-        (void)std::stoull(value, &pos);
-        if (pos != value.size()) throw std::invalid_argument("trailing junk");
+        if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
+          throw std::invalid_argument("not a decimal integer");
+        }
+        (void)std::stoull(value, &pos);  // out_of_range past 2^64 - 1
       } else if (flag.kind == Kind::kDouble) {
         (void)std::stod(value, &pos);
         if (pos != value.size()) throw std::invalid_argument("trailing junk");

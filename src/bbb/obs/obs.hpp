@@ -24,8 +24,10 @@
 ///     confined to layers whose events are microseconds, not nanoseconds.
 ///
 /// Placements are bit-for-bit identical at every level: observation reads
-/// clocks and counters, never the randomness stream (enforced in
-/// tests/obs/obs_integration_test.cpp for the sim, dyn, and law tiers).
+/// clocks and counters, never the randomness stream (enforced for the sim
+/// tier by tests/integration/path_matrix_test.cpp, every registry spec on
+/// both layouts, and for the dyn and law tiers by
+/// tests/obs/obs_integration_test.cpp).
 
 #include <cstdint>
 #include <memory>

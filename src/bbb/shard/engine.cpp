@@ -51,8 +51,8 @@ void prefetch_write(const void* p) noexcept {
 #endif
 }
 
-/// The one check of what the round protocol runs: at least two shards and
-/// a one-choice / greedy[d] / left[d] inner spec with d <= kMaxShardD.
+/// The one check of what the round protocol runs: 2 to kMaxShards shards
+/// and a one-choice / greedy[d] / left[d] inner spec with d <= kMaxShardD.
 /// Returns the parsed inner spec (d == 0 is the registry's own error).
 core::ParsedSpec parse_round_spec(const std::string& inner_spec, std::uint32_t shards) {
   const std::string spec = "protocol spec 'shards[" + std::to_string(shards) + "]:" +
@@ -60,6 +60,10 @@ core::ParsedSpec parse_round_spec(const std::string& inner_spec, std::uint32_t s
   if (shards < 2) {
     throw std::invalid_argument(spec + "the sharded engine needs at least 2 shards "
                                        "(shards[1]: runs on the streaming core)");
+  }
+  if (shards > kMaxShards) {
+    throw std::invalid_argument(spec + "at most " + std::to_string(kMaxShards) +
+                                " shards (one thread each)");
   }
   const core::ParsedSpec s = core::parse_spec(inner_spec, "protocol");
   if (s.name != "one-choice" && s.name != "greedy" && s.name != "left") {

@@ -98,15 +98,24 @@ namespace bbb::shard {
 /// throws at construction.
 inline constexpr std::uint32_t kMaxShardD = 8;
 
+/// Largest shard count: a run starts one thread per shard and keeps
+/// shards^2 request buckets, so a larger t throws at construction, before
+/// any worker exists.
+inline constexpr std::uint32_t kMaxShards = 256;
+
 /// Engine knobs beyond the inner spec and n.
 struct ShardOptions {
-  std::uint32_t shards = 2;  ///< worker threads, 2 <= shards <= n
+  /// Worker threads, 2 <= shards <= min(n, kMaxShards).
+  std::uint32_t shards = 2;
   /// Balls in flight per synchronized round. Clamped to
   /// [shards, 65535 * shards]; the clamp fixes the round size, so it is
   /// part of the placement contract (a slice never exceeds 65535 balls).
-  /// Larger rounds amortize the barriers; the deferral rate grows as
-  /// ~(round_balls * d)^2 / (2n), so the default stays small relative to
-  /// any interesting n.
+  /// Larger rounds amortize the barriers but defer more: a round of
+  /// round_balls * d probes holds ~(round_balls * d)^2 / (2n) conflicting
+  /// probe pairs, so about round_balls * d^2 / (2n) of its balls defer to
+  /// the serial cleanup (0.0039 for greedy[2] at n = 2^22). The fraction
+  /// is that small only while round_balls * d^2 << n: at n = 4096 the
+  /// default saturates it and most balls defer.
   std::uint32_t round_balls = 8192;
   core::StateLayout layout = core::StateLayout::kWide;
   /// Unused: the probe-based rules need no total-ball hint. Kept only
@@ -118,8 +127,8 @@ struct ShardOptions {
 class ShardedAllocator {
  public:
   /// \param inner_spec a registry rule spec *without* modifier prefixes.
-  /// \throws std::invalid_argument for unknown/invalid specs, shards < 2
-  ///         or shards > n, a spec outside the supported
+  /// \throws std::invalid_argument for unknown/invalid specs, shards < 2,
+  ///         shards > n or shards > kMaxShards, a spec outside the supported
   ///         one-choice / greedy[d<=8] / left[d<=8] set, or a shard of
   ///         more than 2^31 bins (requests carry the owner-local bin in 31
   ///         bits; never the case with shards >= 2).

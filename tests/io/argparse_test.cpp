@@ -100,6 +100,25 @@ TEST(ArgParser, TypeMismatchThrows) {
   EXPECT_DOUBLE_EQ(p.get_double("n"), 100.0);
 }
 
+TEST(ArgParser, IntegerFlagsTakeDigitsOnly) {
+  // stoull alone read "-1" as 2^64 - 1 (an endless --m) and " +7" as 7.
+  for (const char* value : {"-1", "+5", " 5", "5 ", "", "18446744073709551616"}) {
+    ArgParser p = sample_parser();
+    const std::string arg = std::string("--n=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    try {
+      (void)p.parse(2, argv);
+      ADD_FAILURE() << "'" << value << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos) << e.what();
+    }
+  }
+  ArgParser p = sample_parser();
+  const char* argv[] = {"prog", "--n=18446744073709551615"};
+  ASSERT_TRUE(p.parse(2, argv));
+  EXPECT_EQ(p.get_u64("n"), 18446744073709551615u);
+}
+
 TEST(ArgParser, U32AcceptsTheFullRange) {
   ArgParser p = sample_parser();
   const char* argv[] = {"prog", "--n=4294967295"};

@@ -2,11 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "bbb/core/protocols/registry.hpp"
 #include "bbb/dyn/engine.hpp"
 #include "bbb/law/engine.hpp"
 #include "bbb/obs/obs.hpp"
@@ -19,9 +17,11 @@ namespace {
 /// The headline contract of the obs layer: turning instrumentation on —
 /// any level, sink or not — NEVER changes a placement. Observation reads
 /// clocks and counters, not rng::Engine, so every replicate statistic is
-/// bit-for-bit the one an uninstrumented run produces. These tests run
-/// each tier twice, off vs full, and compare the raw records exactly
-/// (EXPECT_EQ on doubles — not NEAR; identical means identical).
+/// bit-for-bit the one an uninstrumented run produces. The sim tier's
+/// records at every level, both layouts and every registry spec are a
+/// row of the cross-path matrix (tests/integration/path_matrix_test.cpp);
+/// these tests run the dyn and law tiers twice, off vs full, and compare
+/// exactly (EXPECT_EQ on doubles — not NEAR; identical means identical).
 
 sim::RunSummary run_sim(core::StateLayout layout, obs::ObsLevel level,
                         const std::string& spec = "greedy[2]") {
@@ -36,38 +36,14 @@ sim::RunSummary run_sim(core::StateLayout layout, obs::ObsLevel level,
   return sim::run_experiment(cfg);
 }
 
-void expect_identical(const sim::RunSummary& off, const sim::RunSummary& full) {
-  ASSERT_EQ(off.records.size(), full.records.size());
-  for (std::size_t r = 0; r < off.records.size(); ++r) {
-    const sim::ReplicateRecord& a = off.records[r];
-    const sim::ReplicateRecord& b = full.records[r];
-    EXPECT_EQ(a.probes, b.probes) << "replicate " << r;
-    EXPECT_EQ(a.max_load, b.max_load) << "replicate " << r;
-    EXPECT_EQ(a.min_load, b.min_load) << "replicate " << r;
-    EXPECT_EQ(a.gap, b.gap) << "replicate " << r;
-    EXPECT_EQ(a.psi, b.psi) << "replicate " << r;
-    EXPECT_EQ(a.log_phi, b.log_phi) << "replicate " << r;
-  }
-}
-
-TEST(ObsIntegration, SimWidePlacementsBitForBitOffVsFull) {
-  expect_identical(run_sim(core::StateLayout::kWide, obs::ObsLevel::kOff),
-                   run_sim(core::StateLayout::kWide, obs::ObsLevel::kFull));
-}
-
-TEST(ObsIntegration, SimCompactPlacementsBitForBitOffVsFull) {
-  expect_identical(run_sim(core::StateLayout::kCompact, obs::ObsLevel::kOff),
-                   run_sim(core::StateLayout::kCompact, obs::ObsLevel::kFull));
-}
-
 TEST(ObsIntegration, ShardedPlacementsBitForBitOffVsFull) {
   // The multi-shard engine times its phases on every run; the obs level
-  // only decides whether the timings are folded. Placements never move.
+  // only decides whether the timings are folded. That placements never
+  // move is a row of the cross-path matrix.
   const std::string spec = "shards[4]:greedy[2]";
   const auto compact = core::StateLayout::kCompact;
   const sim::RunSummary off = run_sim(compact, obs::ObsLevel::kOff, spec);
   const sim::RunSummary full = run_sim(compact, obs::ObsLevel::kFull, spec);
-  expect_identical(off, full);
   for (const char* key :
        {"shard.phase.draw.ns", "shard.phase.serve.ns", "shard.phase.decide.ns",
         "shard.phase.apply.ns", "shard.phase.cleanup.ns", "shard.barrier.wait_ns"}) {
@@ -139,62 +115,6 @@ TEST(ObsIntegration, OffLevelLeavesNoSnapshot) {
   EXPECT_TRUE(off.obs.empty());
   EXPECT_EQ(off.records.front().wall_ns, 0u);
   EXPECT_EQ(off.records.front().counters, obs::CoreCounters{});
-}
-
-TEST(ObsIntegration, EveryRegistryFamilyAccountsProbesAndBalls) {
-  // The per-protocol accounting the paper's cost claims rest on: every one
-  // of the registry's protocol families reports its probe count and its
-  // placed balls through the same two counters. One replicate per family.
-  // protocol_specs() lists parameterized templates; instantiate each with
-  // small concrete arguments — and fail loudly when a new family appears
-  // without a row here.
-  const std::map<std::string, std::string> concrete{
-      {"one-choice", "one-choice"},
-      {"greedy[d]", "greedy[2]"},
-      {"left[d]", "left[2]"},
-      {"memory[d,k]", "memory[1,1]"},
-      {"threshold", "threshold"},
-      {"threshold[slack]", "threshold[1]"},
-      {"doubling-threshold[guess]", "doubling-threshold[4]"},
-      {"adaptive", "adaptive"},
-      {"adaptive[slack]", "adaptive[1]"},
-      {"adaptive-net", "adaptive-net"},
-      {"adaptive-net[slack]", "adaptive-net[1]"},
-      {"adaptive-total", "adaptive-total"},
-      {"adaptive-total[slack]", "adaptive-total[1]"},
-      {"stale-adaptive[delta]", "stale-adaptive[8]"},
-      {"skewed-adaptive[s*100]", "skewed-adaptive[50]"},
-      {"batched[capacity]", "batched[64]"},
-      {"self-balancing", "self-balancing"},
-      // Half-load cuckoo (capacity 2 * m): at load factor 1.0 the kick
-      // budget can run out and park arrivals in the stash, which is
-      // accounted as placed < m.
-      {"cuckoo[d,k]", "cuckoo[2,16]"},
-      {"capacities=c0,c1,...:spec", "capacities=1,2:greedy[2]"},
-      {"shards[t]:spec", "shards[2]:greedy[2]"},
-  };
-  std::vector<std::string> specs;
-  for (const std::string& tmpl : core::protocol_specs()) {
-    ASSERT_TRUE(concrete.count(tmpl) == 1)
-        << "registry family '" << tmpl << "' has no concrete instance here";
-    specs.push_back(concrete.at(tmpl));
-  }
-  ASSERT_GE(specs.size(), 14u);
-  for (const std::string& spec : specs) {
-    sim::ExperimentConfig cfg;
-    cfg.protocol_spec = spec;
-    cfg.m = 4'096;
-    cfg.n = 512;
-    cfg.replicates = 1;
-    cfg.seed = 42;
-    cfg.obs.level = obs::ObsLevel::kCounters;
-    const sim::RunSummary s = sim::run_experiment(cfg);
-    EXPECT_EQ(s.obs.counter_value("core.ball.placed"), cfg.m) << spec;
-    EXPECT_GT(s.obs.counter_value("core.probe.count"), 0u) << spec;
-    const obs::SnapshotEntry* wall = s.obs.find("sim.replicate.wall_ns");
-    ASSERT_NE(wall, nullptr) << spec;
-    EXPECT_EQ(wall->histogram.count(), 1u) << spec;
-  }
 }
 
 TEST(ObsIntegration, CompactTierReportsLookaheadAndSideTableTraffic) {

@@ -138,35 +138,11 @@ TEST(RegistryGoldenPins, CuckooD2B4) {
 // ---------------------------------------------------------------------------
 
 // shards[1]:spec is a registry name prefix on the sequential streaming
-// core, so it promises results bit-identical to the bare spec. Pinning
-// it as *equality with the sequential result* (itself pinned above)
-// keeps one source of truth per family while still catching any drift
-// in the shards[1] plumbing. batched is excluded: its sequential
+// core: that it equals the bare spec (pinned above) bit for bit, every
+// family, is a row of the cross-path matrix
+// (tests/integration/path_matrix_test.cpp). batched differs: its bare
 // spelling is the round-synchronous protocol (rounds = 1) while
-// shards[1] runs the streaming rule form — it gets its own literal pin
-// below.
-TEST(RegistryGoldenPins, ShardsSingleMatchesSequentialEveryFamily) {
-  const std::vector<std::string> families = {
-      "one-choice",       "greedy[2]",          "left[2]",
-      "memory[2,1]",      "threshold",          "threshold[2]",
-      "doubling-threshold", "adaptive",         "adaptive-net",
-      "adaptive-total",   "stale-adaptive[8]",  "skewed-adaptive[50]",
-      "self-balancing"};
-  for (const std::string& spec : families) {
-    const AllocationResult seq = run_pinned(spec);
-    const AllocationResult sharded = run_pinned("shards[1]:" + spec);
-    EXPECT_EQ(sharded.loads, seq.loads) << spec;
-    EXPECT_EQ(sharded.balls, seq.balls) << spec;
-    EXPECT_EQ(sharded.probes, seq.probes) << spec;
-    EXPECT_EQ(sharded.reallocations, seq.reallocations) << spec;
-    EXPECT_EQ(sharded.rounds, seq.rounds) << spec;
-  }
-  const AllocationResult seq = run_pinned("cuckoo[2,4]", 30);
-  const AllocationResult sharded = run_pinned("shards[1]:cuckoo[2,4]", 30);
-  EXPECT_EQ(sharded.loads, seq.loads);
-  EXPECT_EQ(sharded.probes, seq.probes);
-}
-
+// shards[1] runs the streaming rule form, so it gets its own literal pin.
 TEST(RegistryGoldenPins, ShardsSingleBatchedStreamingForm) {
   // Same placements as the batched[16] protocol pin (the LW batch order
   // is identical), but the streaming rule form reports rounds = 0.

@@ -3,12 +3,12 @@
 ///   * ShardTopology — the balanced contiguous partition and its
 ///     reciprocal-division routing, property-tested against plain
 ///     division;
-///   * ShardLockstep — shards[1]:spec, the registry's name prefix on the
-///     streaming core, is bit-for-bit the bare spec for EVERY registry
-///     family (both layouts), and a
-///     multi-shard run is bit-for-bit a literal sequential replay of the
-///     same substreams in global ball order — the exactness claim the
-///     round protocol's conflict-deferral rule makes (engine.hpp);
+///   * ShardLockstep — a multi-shard run is bit-for-bit a literal
+///     sequential replay of the same substreams in global ball order — the
+///     exactness claim the round protocol's conflict-deferral rule makes
+///     (engine.hpp). That shards[1]:spec, the registry's name prefix on
+///     the streaming core, is the bare spec bit for bit is a row of the
+///     cross-path matrix (tests/integration/path_matrix_test.cpp);
 ///   * ShardEngine — merged-metric identities, determinism, conservation,
 ///     consumption of the caller's engine, and every rejection path.
 ///
@@ -119,101 +119,6 @@ TEST(ShardTopology, RejectsDegeneratePartitions) {
   EXPECT_THROW(Topology(8, 0), std::invalid_argument);
   EXPECT_THROW(Topology(8, 9), std::invalid_argument);
   EXPECT_NO_THROW(Topology(8, 8));
-}
-
-// ---------------------------------------------------------------------------
-// ShardLockstep: shards[1]:spec == spec, bit for bit
-// ---------------------------------------------------------------------------
-
-struct SeqResult {
-  std::vector<std::uint32_t> loads;
-  std::uint64_t probes = 0;
-  std::uint64_t balls = 0;
-};
-
-/// The sequential reference: the streaming place loop plus finalize — the
-/// execution shards[1] promises to reproduce exactly.
-SeqResult streaming_reference(const std::string& spec, std::uint32_t n,
-                              std::uint64_t m, core::StateLayout layout,
-                              std::uint64_t seed) {
-  const auto alloc = core::make_streaming_allocator(spec, n, m, layout);
-  rng::Engine gen = rng::SeedSequence(seed).engine(0);
-  alloc->set_engine_exclusive(true);
-  for (std::uint64_t i = 0; i < m; ++i) (void)alloc->place(gen);
-  alloc->finalize(gen);
-  SeqResult out;
-  out.loads = alloc->state().copy_loads();
-  out.probes = alloc->probes();
-  out.balls = alloc->state().balls();
-  return out;
-}
-
-/// The spec path of `shards[1]:spec`: the registry's streaming allocator
-/// for the prefixed spec, driven by the batch adapter.
-SeqResult single_shard_run(const std::string& spec, std::uint32_t n, std::uint64_t m,
-                           core::StateLayout layout, std::uint64_t seed) {
-  const auto alloc = core::make_streaming_allocator("shards[1]:" + spec, n, m, layout);
-  rng::Engine gen = rng::SeedSequence(seed).engine(0);
-  const core::AllocationResult res = core::run_rule(*alloc, m, gen);
-  SeqResult out;
-  out.loads = res.loads;
-  out.probes = res.probes;
-  out.balls = res.balls;
-  return out;
-}
-
-TEST(ShardLockstep, SingleShardMatchesStreamingCoreEveryFamily) {
-  // One concrete spec per registry family (the same instantiation map the
-  // obs integration suite enforces completeness of). Note batched[64] here
-  // pins the STREAMING capacity-bounded form — shards[1]'s documented
-  // batch semantics — not the LW-rounds batch protocol.
-  const std::vector<std::string> specs = {
-      "one-choice",      "greedy[2]",        "left[2]",
-      "memory[1,1]",     "threshold",        "threshold[1]",
-      "doubling-threshold[4]", "adaptive",   "adaptive[1]",
-      "adaptive-net",    "adaptive-total",   "stale-adaptive[8]",
-      "skewed-adaptive[50]", "batched[64]",  "self-balancing",
-      "cuckoo[2,16]"};
-  constexpr std::uint64_t kM = 4'096;
-  constexpr std::uint32_t kN = 512;
-  for (const std::string& spec : specs) {
-    SCOPED_TRACE(spec);
-    const SeqResult ref = streaming_reference(spec, kN, kM, core::StateLayout::kWide, 42);
-    const SeqResult got = single_shard_run(spec, kN, kM, core::StateLayout::kWide, 42);
-    EXPECT_EQ(got.loads, ref.loads);
-    EXPECT_EQ(got.probes, ref.probes);
-    EXPECT_EQ(got.balls, ref.balls);
-  }
-}
-
-TEST(ShardLockstep, SingleShardMatchesStreamingCoreCompactLayout) {
-  for (const std::string& spec :
-       {std::string("one-choice"), std::string("greedy[2]"), std::string("left[2]"),
-        std::string("batched[64]")}) {
-    SCOPED_TRACE(spec);
-    const SeqResult ref =
-        streaming_reference(spec, 512, 8'192, core::StateLayout::kCompact, 7);
-    const SeqResult got =
-        single_shard_run(spec, 512, 8'192, core::StateLayout::kCompact, 7);
-    EXPECT_EQ(got.loads, ref.loads);
-    EXPECT_EQ(got.probes, ref.probes);
-  }
-}
-
-TEST(ShardLockstep, ProtocolWrapperMatchesSequentialProtocol) {
-  // Through the registry: shards[1]:greedy[2] as a batch Protocol (the
-  // generic place-loop protocol under a name prefix) equals the plain
-  // greedy[2] Protocol (batch_equivalent rule, so its batch form IS the
-  // place loop).
-  const auto sharded = core::make_protocol("shards[1]:greedy[2]");
-  const auto plain = core::make_protocol("greedy[2]");
-  rng::Engine g1 = rng::SeedSequence(42).engine(0);
-  rng::Engine g2 = rng::SeedSequence(42).engine(0);
-  const core::AllocationResult a = sharded->run(10'000, 1'024, g1);
-  const core::AllocationResult b = plain->run(10'000, 1'024, g2);
-  EXPECT_EQ(a.loads, b.loads);
-  EXPECT_EQ(a.probes, b.probes);
-  EXPECT_EQ(a.balls, b.balls);
 }
 
 // ---------------------------------------------------------------------------
@@ -621,6 +526,18 @@ TEST(ShardEngine, RejectsInvalidConfigurations) {
   // Degenerate partitions.
   EXPECT_THROW(ShardedAllocator("greedy[2]", 4, many), std::invalid_argument);
   EXPECT_THROW(ShardedAllocator("greedy[2]", 64, none), std::invalid_argument);
+  // Past the thread ceiling, even with bins to spare. Construction only:
+  // no run() is ever asked to start that many workers.
+  ShardOptions ceiling;
+  ceiling.shards = kMaxShards;
+  EXPECT_NO_THROW(ShardedAllocator("greedy[2]", 1u << 20, ceiling));
+  ShardOptions over;
+  over.shards = kMaxShards + 1;
+  EXPECT_THROW(ShardedAllocator("greedy[2]", 1u << 20, over), std::invalid_argument);
+  EXPECT_THROW(ShardedProtocol("greedy[2]", over), std::invalid_argument);
+  EXPECT_THROW((void)core::make_protocol("shards[5000]:greedy[2]"),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)core::make_protocol("shards[256]:greedy[2]"));
   // Unknown inner spec still fails through the registry.
   EXPECT_THROW(ShardedAllocator("no-such-rule", 64, two), std::invalid_argument);
   // One shard is no engine mode: shards[1]:spec is the streaming core.

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   args.add_flag("threads", std::uint64_t{0}, "worker threads (0 = hardware)");
   args.add_flag("shards", std::uint64_t{0},
                 "prepend shards[t]: to the protocol spec (0 = off): t >= 2 "
-                "runs the sharded multi-core engine on t worker threads, "
+                "runs the sharded multi-core engine on t worker threads "
+                "(at most 256), "
                 "t = 1 the sequential streaming core under that name");
   args.add_flag("layout", std::string("wide"),
                 "BinState storage: wide|compact (compact streams place_one "
