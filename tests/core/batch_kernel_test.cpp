@@ -1,25 +1,117 @@
-/// The batch placement layer's own contracts: which states engage the
-/// wave kernel (its counters), and the ISA backends pinned byte-for-byte
-/// against the scalar reference. That place_batch places bit-identically
-/// to place_one — every family, batch size, wave boundary, SIMD tier and
-/// side-table promotion, and interleaved with place_one — is a row of the
-/// cross-path matrix (tests/integration/path_matrix_test.cpp).
+/// Scalar-vs-kernel lockstep for the batch placement layer: place_batch
+/// must be bit-identical to the same number of place_one calls — same
+/// bins ball for ball, same counters, same incremental metrics (the FP
+/// accumulations included) — for four kernel families, every batch size around
+/// the wave boundaries, every compiled SIMD tier the CPU supports, and
+/// states straddling the 255 -> 256 side-table promotion. Plus the ISA
+/// backends pinned byte-for-byte against the scalar reference, and the
+/// place_one/place_batch interleave (the lookahead residue hand-back).
+/// The cross-path matrix (tests/integration/path_matrix_test.cpp) runs
+/// the same lockstep over every registry spec.
 
 #include "bbb/core/batch_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "bbb/core/protocols/d_choice.hpp"
+#include "bbb/core/protocols/left_d.hpp"
+#include "bbb/core/protocols/one_choice.hpp"
 #include "bbb/core/rule.hpp"
 #include "bbb/core/simd/batch_ops.hpp"
 #include "bbb/rng/xoshiro256.hpp"
 
 namespace bbb::core {
 namespace {
+
+using RuleFactory = std::function<std::unique_ptr<PlacementRule>(std::uint32_t n)>;
+
+struct Family {
+  const char* name;
+  RuleFactory make;
+};
+
+/// The four families the satellite sweep names. greedy[3] has no vector
+/// kernel (data-dependent reservoir tie draws) — its place_batch is the
+/// base loop, and this suite pins that the dispatch seam stays exact.
+const Family kFamilies[] = {
+    {"one-choice", [](std::uint32_t) { return std::make_unique<OneChoiceRule>(); }},
+    {"greedy[2]", [](std::uint32_t) { return std::make_unique<DChoiceRule>(2); }},
+    {"greedy[3]", [](std::uint32_t) { return std::make_unique<DChoiceRule>(3); }},
+    {"left[2]", [](std::uint32_t n) { return std::make_unique<LeftDRule>(n, 2); }},
+};
+
+/// Every observable of the two runs must be *identical*, not close: the
+/// kernel replays add_ball's FP operation order, so even lnPhi matches
+/// bit for bit.
+void expect_states_equal(const BinState& a, const BinState& b) {
+  ASSERT_EQ(a.n(), b.n());
+  EXPECT_EQ(a.balls(), b.balls());
+  EXPECT_EQ(a.max_load(), b.max_load());
+  EXPECT_EQ(a.min_load(), b.min_load());
+  EXPECT_EQ(a.level_counts(), b.level_counts());
+  EXPECT_EQ(a.psi(), b.psi());
+  EXPECT_EQ(a.log_phi(), b.log_phi());
+  EXPECT_EQ(a.copy_loads(), b.copy_loads());
+}
+
+/// Drive `m` balls through place_one (reference) and place_batch (kernel
+/// path when eligible) from the same seed and compare every placement.
+void expect_lockstep(const Family& family, std::uint32_t n, std::uint64_t m,
+                     std::uint64_t seed = 42,
+                     StateLayout layout = StateLayout::kCompact) {
+  rng::Engine gen_ref(seed);
+  BinState ref_state(n, layout);
+  auto ref_rule = family.make(n);
+  ref_rule->set_engine_exclusive(true);
+  std::vector<std::uint32_t> ref_bins(m);
+  for (std::uint64_t i = 0; i < m; ++i) {
+    ref_bins[i] = ref_rule->place_one(ref_state, gen_ref);
+  }
+
+  rng::Engine gen_bat(seed);
+  BinState bat_state(n, layout);
+  auto bat_rule = family.make(n);
+  bat_rule->set_engine_exclusive(true);
+  std::vector<std::uint32_t> bat_bins(m);
+  bat_rule->place_batch(bat_state, m, gen_bat, bat_bins.data());
+
+  for (std::uint64_t i = 0; i < m; ++i) {
+    ASSERT_EQ(ref_bins[i], bat_bins[i])
+        << family.name << " n=" << n << " m=" << m << " ball " << i;
+  }
+  EXPECT_EQ(ref_rule->probes(), bat_rule->probes());
+  EXPECT_EQ(ref_rule->total_placed(), bat_rule->total_placed());
+  expect_states_equal(ref_state, bat_state);
+}
+
+TEST(BatchKernel, LockstepAcrossBatchSizesOneToSixtyFour) {
+  for (const Family& family : kFamilies) {
+    for (std::uint64_t m = 1; m <= 64; ++m) {
+      expect_lockstep(family, /*n=*/97, m, /*seed=*/1000 + m);
+    }
+  }
+}
+
+TEST(BatchKernel, LockstepAroundWaveBoundaries) {
+  // kWaveWords = 256 words is 128 greedy[2]/left[2] balls or 256
+  // one-choice balls per wave; straddle both boundaries and a multi-wave
+  // run. Small n forces dense in-wave duplicates — the live-lane commit
+  // must serialize them exactly as the scalar stream does.
+  const std::uint64_t sizes[] = {127, 128, 129, 255, 256, 257, 1000};
+  for (const Family& family : kFamilies) {
+    for (const std::uint32_t n : {2u, 5u, 64u, 4096u}) {
+      for (const std::uint64_t m : sizes) {
+        expect_lockstep(family, n, m, /*seed=*/7 * n + m);
+      }
+    }
+  }
+}
 
 TEST(BatchKernel, EveryBallTakesTheWaveOnLargeFastPathState) {
   // The live-lane commit serializes in-wave duplicates instead of
@@ -36,9 +128,73 @@ TEST(BatchKernel, EveryBallTakesTheWaveOnLargeFastPathState) {
   EXPECT_EQ(rule.batch_kernel()->fallback_balls(), 0u);
 }
 
+TEST(BatchKernel, LockstepAcrossSideTablePromotion) {
+  // m = 300 * n pushes every lane through the 255 -> 256 promotion: the
+  // saturation guard must hand the near-ceiling waves to the exact scalar
+  // path, and placements must stay identical straight through it.
+  for (const Family& family : kFamilies) {
+    expect_lockstep(family, /*n=*/8, /*m=*/8 * 300, /*seed=*/11);
+    expect_lockstep(family, /*n=*/64, /*m=*/64 * 260, /*seed=*/13);
+  }
+}
+
+TEST(BatchKernel, LockstepAcrossSimdTiers) {
+  const auto ceiling = static_cast<int>(simd::detected_simd_tier());
+  for (int t = 0; t <= ceiling; ++t) {
+    simd::set_simd_tier_override(static_cast<simd::SimdTier>(t));
+    for (const Family& family : kFamilies) {
+      expect_lockstep(family, /*n=*/1u << 14, /*m=*/5000, /*seed=*/17 + t);
+    }
+  }
+  simd::clear_simd_tier_override();
+}
+
+TEST(BatchKernel, InterleavedPlaceOneAndBatchMatchesPureStream) {
+  // The residue hand-back: a place_one right after a place_batch must see
+  // exactly the word a pure place_one stream would (the kernel returns
+  // its undrained read-ahead to the lookahead).
+  for (const Family& family : kFamilies) {
+    const std::uint32_t n = 512;
+    rng::Engine gen_ref(99);
+    BinState ref_state(n, StateLayout::kCompact);
+    auto ref_rule = family.make(n);
+    ref_rule->set_engine_exclusive(true);
+    std::vector<std::uint32_t> ref_bins;
+    for (int i = 0; i < 700; ++i) {
+      ref_bins.push_back(ref_rule->place_one(ref_state, gen_ref));
+    }
+
+    rng::Engine gen_mix(99);
+    BinState mix_state(n, StateLayout::kCompact);
+    auto mix_rule = family.make(n);
+    mix_rule->set_engine_exclusive(true);
+    std::vector<std::uint32_t> mix_bins;
+    const std::uint64_t chunks[] = {1, 130, 1, 1, 64, 3, 200, 300};
+    for (const std::uint64_t chunk : chunks) {
+      if (chunk == 1) {
+        mix_bins.push_back(mix_rule->place_one(mix_state, gen_mix));
+      } else {
+        std::vector<std::uint32_t> got(chunk);
+        mix_rule->place_batch(mix_state, chunk, gen_mix, got.data());
+        mix_bins.insert(mix_bins.end(), got.begin(), got.end());
+      }
+    }
+    ASSERT_EQ(ref_bins.size(), mix_bins.size());
+    for (std::size_t i = 0; i < ref_bins.size(); ++i) {
+      ASSERT_EQ(ref_bins[i], mix_bins[i]) << family.name << " ball " << i;
+    }
+    expect_states_equal(ref_state, mix_state);
+  }
+}
+
 TEST(BatchKernel, IneligibleStatesTakeTheBaseLoop) {
-  // Wide layout and heterogeneous capacities must not engage the kernel:
-  // the kernel counters stay at zero.
+  // Wide layout and heterogeneous capacities must not engage the kernel —
+  // and must still match the scalar stream (the base loop IS that
+  // stream). The kernel counters stay at zero.
+  for (const Family& family : kFamilies) {
+    expect_lockstep(family, /*n=*/256, /*m=*/500, /*seed=*/5,
+                    StateLayout::kWide);
+  }
   DChoiceRule rule(2);
   BinState wide(256, StateLayout::kWide);
   rng::Engine gen(5);

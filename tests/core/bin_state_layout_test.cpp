@@ -3,9 +3,11 @@
 /// incremental metric at every step — including across the 8-bit lane
 /// promotion boundary (load 254 -> 255 -> 256 and back), under weights,
 /// and on heterogeneous-capacity states. Plus the layout-specific API
-/// contracts (loads()/sample_nonempty rejection, copy_loads). That rules
-/// place identically on both layouts is a row of the cross-path matrix
-/// (tests/integration/path_matrix_test.cpp).
+/// contracts (loads()/sample_nonempty rejection, copy_loads) and the
+/// pre-existing golden allocation pins rerun on a compact state, proving
+/// the layout changes storage only, never a single placement. The
+/// cross-path matrix (tests/integration/path_matrix_test.cpp) runs both
+/// layouts over every registry spec.
 
 #include "bbb/core/bin_state.hpp"
 
@@ -232,6 +234,48 @@ TEST(BinStateLayout, CompactClearEqualsFresh) {
   EXPECT_EQ(used.load(1), 2u);
 }
 
+// Identical placements, not just identical metrics: every probing rule
+// family streamed into both layouts from the same seed lands every ball
+// in the same bin (the rules read loads only through the shared API).
+TEST(BinStateLayout, RulesPlaceIdenticallyOnBothLayouts) {
+  constexpr std::uint32_t kBins = 64;
+  constexpr std::uint64_t kBalls = 512;
+  for (const char* spec : {"one-choice", "greedy[2]", "left[2]", "memory[1,1]",
+                           "threshold", "adaptive", "adaptive-net", "cuckoo[2,4]"}) {
+    StreamingAllocator wide(BinState(kBins, StateLayout::kWide),
+                            make_rule(spec, kBins, kBalls));
+    StreamingAllocator compact(BinState(kBins, StateLayout::kCompact),
+                               make_rule(spec, kBins, kBalls));
+    rng::Engine gen_w(7777);
+    rng::Engine gen_c(7777);
+    for (std::uint64_t i = 0; i < kBalls; ++i) {
+      ASSERT_EQ(wide.place(gen_w), compact.place(gen_c)) << spec << " ball " << i;
+    }
+    expect_lockstep(wide.state(), compact.state());
+  }
+}
+
+// The probe lookahead must not change placements either: exclusive-engine
+// (buffered, prefetching) and shared-engine (direct) runs of the same
+// seed produce identical allocations.
+TEST(BinStateLayout, LookaheadPreservesPlacementsExactly) {
+  constexpr std::uint32_t kBins = 128;
+  constexpr std::uint64_t kBalls = 2000;
+  for (const char* spec : {"one-choice", "greedy[2]", "greedy[3]", "left[4]"}) {
+    StreamingAllocator buffered(BinState(kBins, StateLayout::kCompact),
+                                make_rule(spec, kBins, kBalls));
+    StreamingAllocator direct(BinState(kBins, StateLayout::kWide),
+                              make_rule(spec, kBins, kBalls));
+    buffered.set_engine_exclusive(true);
+    rng::Engine gen_b(31337);
+    rng::Engine gen_d(31337);
+    for (std::uint64_t i = 0; i < kBalls; ++i) {
+      ASSERT_EQ(buffered.place(gen_b), direct.place(gen_d)) << spec << " ball " << i;
+    }
+    expect_lockstep(direct.state(), buffered.state());
+  }
+}
+
 // Revoking exclusivity discards the lookahead's undrained residue: an
 // allocator traced with engine A and then driven by engine B must place
 // exactly like one that never buffered A's words — B's seed, nothing else,
@@ -250,6 +294,29 @@ TEST(BinStateLayout, DisablingExclusivityDiscardsBufferedWords) {
     ASSERT_EQ(buffered.place(b1), direct.place(b2)) << "ball " << i;
   }
   expect_lockstep(direct.state(), buffered.state());
+}
+
+// The pre-existing golden allocation pins (tests/rng/golden_test.cpp),
+// rerun by streaming the same rules into a *compact* state: bit-for-bit
+// the pinned loads. The compact layout changes storage, never placement.
+TEST(BinStateLayout, GoldenAdaptivePinHoldsOnCompact) {
+  rng::Engine gen(42);
+  BinState state(10, StateLayout::kCompact);
+  const auto rule = make_rule("adaptive", 10, 100);
+  for (std::uint64_t i = 0; i < 100; ++i) (void)rule->place_one(state, gen);
+  EXPECT_EQ(state.copy_loads(),
+            (std::vector<std::uint32_t>{9, 10, 11, 9, 10, 8, 11, 10, 11, 11}));
+  EXPECT_EQ(rule->probes(), 131u);
+}
+
+TEST(BinStateLayout, GoldenThresholdPinHoldsOnCompact) {
+  rng::Engine gen(42);
+  BinState state(10, StateLayout::kCompact);
+  const auto rule = make_rule("threshold", 10, 100);
+  for (std::uint64_t i = 0; i < 100; ++i) (void)rule->place_one(state, gen);
+  EXPECT_EQ(state.copy_loads(),
+            (std::vector<std::uint32_t>{10, 11, 10, 6, 9, 11, 11, 11, 11, 10}));
+  EXPECT_EQ(rule->probes(), 104u);
 }
 
 }  // namespace

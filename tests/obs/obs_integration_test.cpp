@@ -17,11 +17,11 @@ namespace {
 /// The headline contract of the obs layer: turning instrumentation on —
 /// any level, sink or not — NEVER changes a placement. Observation reads
 /// clocks and counters, not rng::Engine, so every replicate statistic is
-/// bit-for-bit the one an uninstrumented run produces. The sim tier's
-/// records at every level, both layouts and every registry spec are a
-/// row of the cross-path matrix (tests/integration/path_matrix_test.cpp);
-/// these tests run the dyn and law tiers twice, off vs full, and compare
-/// exactly (EXPECT_EQ on doubles — not NEAR; identical means identical).
+/// bit-for-bit the one an uninstrumented run produces. These tests run
+/// each tier twice, off vs full, and compare the raw records exactly
+/// (EXPECT_EQ on doubles — not NEAR; identical means identical). The
+/// cross-path matrix (tests/integration/path_matrix_test.cpp) checks the
+/// sim tier's records at every level for every registry spec.
 
 sim::RunSummary run_sim(core::StateLayout layout, obs::ObsLevel level,
                         const std::string& spec = "greedy[2]") {
@@ -36,14 +36,38 @@ sim::RunSummary run_sim(core::StateLayout layout, obs::ObsLevel level,
   return sim::run_experiment(cfg);
 }
 
+void expect_identical(const sim::RunSummary& off, const sim::RunSummary& full) {
+  ASSERT_EQ(off.records.size(), full.records.size());
+  for (std::size_t r = 0; r < off.records.size(); ++r) {
+    const sim::ReplicateRecord& a = off.records[r];
+    const sim::ReplicateRecord& b = full.records[r];
+    EXPECT_EQ(a.probes, b.probes) << "replicate " << r;
+    EXPECT_EQ(a.max_load, b.max_load) << "replicate " << r;
+    EXPECT_EQ(a.min_load, b.min_load) << "replicate " << r;
+    EXPECT_EQ(a.gap, b.gap) << "replicate " << r;
+    EXPECT_EQ(a.psi, b.psi) << "replicate " << r;
+    EXPECT_EQ(a.log_phi, b.log_phi) << "replicate " << r;
+  }
+}
+
+TEST(ObsIntegration, SimWidePlacementsBitForBitOffVsFull) {
+  expect_identical(run_sim(core::StateLayout::kWide, obs::ObsLevel::kOff),
+                   run_sim(core::StateLayout::kWide, obs::ObsLevel::kFull));
+}
+
+TEST(ObsIntegration, SimCompactPlacementsBitForBitOffVsFull) {
+  expect_identical(run_sim(core::StateLayout::kCompact, obs::ObsLevel::kOff),
+                   run_sim(core::StateLayout::kCompact, obs::ObsLevel::kFull));
+}
+
 TEST(ObsIntegration, ShardedPlacementsBitForBitOffVsFull) {
   // The multi-shard engine times its phases on every run; the obs level
-  // only decides whether the timings are folded. That placements never
-  // move is a row of the cross-path matrix.
+  // only decides whether the timings are folded. Placements never move.
   const std::string spec = "shards[4]:greedy[2]";
   const auto compact = core::StateLayout::kCompact;
   const sim::RunSummary off = run_sim(compact, obs::ObsLevel::kOff, spec);
   const sim::RunSummary full = run_sim(compact, obs::ObsLevel::kFull, spec);
+  expect_identical(off, full);
   for (const char* key :
        {"shard.phase.draw.ns", "shard.phase.serve.ns", "shard.phase.decide.ns",
         "shard.phase.apply.ns", "shard.phase.cleanup.ns", "shard.barrier.wait_ns"}) {

@@ -3,12 +3,13 @@
 ///   * ShardTopology — the balanced contiguous partition and its
 ///     reciprocal-division routing, property-tested against plain
 ///     division;
-///   * ShardLockstep — a multi-shard run is bit-for-bit a literal
-///     sequential replay of the same substreams in global ball order — the
-///     exactness claim the round protocol's conflict-deferral rule makes
-///     (engine.hpp). That shards[1]:spec, the registry's name prefix on
-///     the streaming core, is the bare spec bit for bit is a row of the
-///     cross-path matrix (tests/integration/path_matrix_test.cpp);
+///   * ShardLockstep — shards[1]:greedy[2] as a batch Protocol is the
+///     plain greedy[2] Protocol bit for bit, and a multi-shard run is
+///     bit-for-bit a literal sequential replay of the same substreams in
+///     global ball order — the exactness claim the round protocol's
+///     conflict-deferral rule makes (engine.hpp). That shards[1]:spec is
+///     the bare spec for every registry spec is a row of the cross-path
+///     matrix (tests/integration/path_matrix_test.cpp);
 ///   * ShardEngine — merged-metric identities, determinism, conservation,
 ///     consumption of the caller's engine, and every rejection path.
 ///
@@ -119,6 +120,26 @@ TEST(ShardTopology, RejectsDegeneratePartitions) {
   EXPECT_THROW(Topology(8, 0), std::invalid_argument);
   EXPECT_THROW(Topology(8, 9), std::invalid_argument);
   EXPECT_NO_THROW(Topology(8, 8));
+}
+
+// ---------------------------------------------------------------------------
+// ShardLockstep: shards[1]:spec == spec, bit for bit
+// ---------------------------------------------------------------------------
+
+TEST(ShardLockstep, ProtocolWrapperMatchesSequentialProtocol) {
+  // Through the registry: shards[1]:greedy[2] as a batch Protocol (the
+  // generic place-loop protocol under a name prefix) equals the plain
+  // greedy[2] Protocol (batch_equivalent rule, so its batch form IS the
+  // place loop).
+  const auto sharded = core::make_protocol("shards[1]:greedy[2]");
+  const auto plain = core::make_protocol("greedy[2]");
+  rng::Engine g1 = rng::SeedSequence(42).engine(0);
+  rng::Engine g2 = rng::SeedSequence(42).engine(0);
+  const core::AllocationResult a = sharded->run(10'000, 1'024, g1);
+  const core::AllocationResult b = plain->run(10'000, 1'024, g2);
+  EXPECT_EQ(a.loads, b.loads);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.balls, b.balls);
 }
 
 // ---------------------------------------------------------------------------
